@@ -1,5 +1,5 @@
-//! A counting global allocator that also counts frees, so it can report
-//! live and peak heap bytes as well as allocation counts.
+//! A counting global allocator that also accounts for frees, so it can
+//! report live and peak heap bytes as well as allocation counts.
 //!
 //! Every workload is driven from one thread, so the counters live in that
 //! thread's local storage: a few plain adds per allocation instead of the
@@ -18,8 +18,6 @@ pub struct Counting;
 pub struct Snapshot {
     /// Allocations (fresh, zeroed and reallocations) so far.
     pub allocs: u64,
-    /// Frees so far.
-    pub frees: u64,
     /// Bytes currently allocated.
     pub live: i64,
     /// Most bytes allocated at once since the last [`reset_peak`].
@@ -30,17 +28,16 @@ thread_local! {
     // `const` initialisation with a `Copy` type: access never allocates and
     // registers no destructor, so the allocator may use it.
     static COUNTS: Cell<Snapshot> = const {
-        Cell::new(Snapshot { allocs: 0, frees: 0, live: 0, peak: 0 })
+        Cell::new(Snapshot { allocs: 0, live: 0, peak: 0 })
     };
 }
 
-fn note(alloc: u64, free: u64, delta: i64) {
+fn note(alloc: u64, delta: i64) {
     // `try_with` fails only while the thread's storage is torn down; those
     // last frees are not worth a panic inside the allocator.
     let _ = COUNTS.try_with(|c| {
         let mut s = c.get();
         s.allocs += alloc;
-        s.frees += free;
         s.live += delta;
         s.peak = s.peak.max(s.live);
         c.set(s);
@@ -52,26 +49,26 @@ fn note(alloc: u64, free: u64, delta: i64) {
 // touches only a thread-local `Cell` and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(1, 0, layout.size() as i64);
+        note(1, layout.size() as i64);
         // SAFETY: the caller's `layout` obligations pass through unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(1, 0, layout.size() as i64);
+        note(1, layout.size() as i64);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(1, 1, new_size as i64 - layout.size() as i64);
+        note(1, new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` was allocated by this allocator (hence by `System`)
         // with `layout`, as the caller guarantees.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        note(0, 1, -(layout.size() as i64));
+        note(0, -(layout.size() as i64));
         // SAFETY: as for `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }

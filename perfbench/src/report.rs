@@ -87,9 +87,9 @@ pub const PER_LAYER: &[Spec] = &[
     spec("telemetry.rtt_p50", "tick", Wall, "latency_p50_us on pair_ring and udp_pair (endpoint time units: extract ticks, microseconds on UDP)"),
     spec("alloc.per_msg", "allocs", Det, "latency_p99_us everywhere (steady state)"),
     spec("alloc.peak_bytes", "B", Det, "mem_bytes_per_endpoint everywhere"),
-    spec("des.events_per_msg", "events", Det, "msg_rate on sim_clos"),
-    spec("des.events_per_s", "1/s", Wall, "msg_rate on sim_clos"),
-    spec("sim.digest", "hash", Det, "control: fixed by the seed, changes with it"),
+    spec("des.events_per_msg", "events", Det, "msg_rate on sim_clos (simulator pass of fattree_mixed's traced run)"),
+    spec("des.events_per_s", "1/s", Wall, "msg_rate on sim_clos (simulator pass of fattree_mixed's traced run)"),
+    spec("sim.digest", "hash", Det, "control: fixed by the seed, changes with it (simulator pass of fattree_mixed's traced run)"),
     spec("fit.t0_us", "us", Wall, "paper Table 4 summary of pair_ring and udp_pair; not bounded"),
     spec("fit.r_inf_mb_s", "MiB/s", Wall, "paper Table 4 summary of pair_ring and udp_pair; not bounded"),
     spec("fit.n_half_bytes", "B", Wall, "paper Table 4 summary of pair_ring and udp_pair; not bounded"),
@@ -166,11 +166,11 @@ impl Report {
         self.problems.push(what);
     }
 
-    /// Take over `other`'s metrics whose names start with `prefix`, its
-    /// message counts and its failed checks.
-    pub fn absorb(&mut self, prefix: &str, other: Report) {
+    /// Take over `other`'s metrics whose names start with one of
+    /// `prefixes`, its message counts and its failed checks.
+    pub fn absorb(&mut self, prefixes: &[&str], other: Report) {
         for (name, value) in other.values {
-            if name.starts_with(prefix) {
+            if prefixes.iter().any(|p| name.starts_with(p)) {
                 self.values.insert(name, value);
             }
         }

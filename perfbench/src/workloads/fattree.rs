@@ -14,9 +14,10 @@
 
 use std::time::Instant;
 
+use fm_core::mem::FabricStats;
 use fm_core::{
     EndpointConfig, EndpointStats, FaultConfig, LinkFaults, NodeId, SendError, SwitchTopology,
-    SwitchedCluster, TelemetryMetric, FM_CRC_BYTES, FM_FRAME_PAYLOAD, FM_HEADER_BYTES,
+    SwitchedCluster, TelemetryMetric, FM_FRAME_PAYLOAD,
 };
 use fm_des::rng::Xoshiro256;
 
@@ -25,7 +26,7 @@ use crate::check;
 use crate::report::Report;
 use crate::stats::{best_high, best_low, median, quantile_u64, ratio, SlicedLatency};
 use crate::trace::{self, Name};
-use crate::workloads::{digest, frame_costs, seeds, MIB};
+use crate::workloads::{digest, frame_costs, report_counters, seeds, sum_counters, MIB};
 
 const HOSTS: usize = 32;
 /// Hosts 1..=INCAST send into host 0.
@@ -105,8 +106,14 @@ struct Episode {
     peak: i64,
     allocs: u64,
     elapsed_s: f64,
+    /// Messages and payload bytes delivered in the measured rounds.
     delivered: u64,
     payload_bytes: u64,
+    /// Messages and payload bytes delivered over the whole episode, drain
+    /// included: the denominators of the per-message counts, which cover
+    /// the whole episode too.
+    total_delivered: u64,
+    total_payload_bytes: u64,
     attempted: u64,
     failed: u64,
     fairness: f64,
@@ -125,29 +132,9 @@ struct Episode {
     dropped_timed_out: u64,
     busiest_port: u64,
     batch_p50: u64,
-    fabric: (u64, u64, u64, u64),
+    fabric: FabricStats,
     rtt_p50: f64,
     wedged: bool,
-}
-
-fn sum_stats(c: &SwitchedCluster) -> EndpointStats {
-    c.endpoints.iter().fold(EndpointStats::default(), |a, ep| {
-        let s = ep.stats();
-        EndpointStats {
-            sent: a.sent + s.sent,
-            retransmitted: a.retransmitted + s.retransmitted,
-            delivered: a.delivered + s.delivered,
-            rejected: a.rejected + s.rejected,
-            bounced: a.bounced + s.bounced,
-            acks_received: a.acks_received + s.acks_received,
-            ack_frames_sent: a.ack_frames_sent + s.ack_frames_sent,
-            corrupt: a.corrupt + s.corrupt,
-            duplicates: a.duplicates + s.duplicates,
-            timer_retransmits: a.timer_retransmits + s.timer_retransmits,
-            unreachable_drops: a.unreachable_drops + s.unreachable_drops,
-            ..a
-        }
-    })
 }
 
 fn episode(plan: &Plan, topo: &SwitchTopology) -> Episode {
@@ -233,7 +220,7 @@ fn episode(plan: &Plan, topo: &SwitchTopology) -> Episode {
     let allocs = alloc::snapshot().allocs - allocs_at;
 
     let fails = check::failures(&sent);
-    let stats = sum_stats(&c);
+    let (stats, fabric) = sum_counters(&c.endpoints);
     let fault = c
         .endpoints
         .iter()
@@ -260,18 +247,6 @@ fn episode(plan: &Plan, topo: &SwitchTopology) -> Episode {
         }
     }
     let batch_p50 = quantile_u64(&mut batch_p50s, 0.5);
-    let fabric = c
-        .endpoints
-        .iter()
-        .map(|ep| ep.fabric_stats())
-        .fold((0, 0, 0, 0), |a, s| {
-            (
-                a.0 + s.pushed,
-                a.1 + s.full,
-                a.2 + s.polled,
-                a.3 + s.batches,
-            )
-        });
     let mut rtts: Vec<f64> = c
         .endpoints
         .iter()
@@ -306,10 +281,10 @@ fn episode(plan: &Plan, topo: &SwitchTopology) -> Episode {
         dropped_timed_out,
         busiest_port,
         batch_p50,
-        fabric.0,
-        fabric.1,
-        fabric.2,
-        fabric.3,
+        fabric.pushed,
+        fabric.full,
+        fabric.polled,
+        fabric.batches,
         try_sends,
         would_block,
         extracts,
@@ -325,6 +300,8 @@ fn episode(plan: &Plan, topo: &SwitchTopology) -> Episode {
         elapsed_s,
         delivered: window_delivered,
         payload_bytes: window_bytes,
+        total_delivered: delivered,
+        total_payload_bytes: check::payload_bytes(),
         attempted: sent.iter().sum::<u64>() + unreachable,
         failed: fails.total() + unreachable,
         fairness,
@@ -348,7 +325,22 @@ fn episode(plan: &Plan, topo: &SwitchTopology) -> Episode {
     }
 }
 
+/// Run `fattree_mixed`.
+///
+/// Its traced run also runs `sim_clos` for a third of its time and
+/// reports that run's `des.*` and `sim.*` metrics, so the simulator's
+/// layers are measured by a bounded workload even though `sim_clos` is
+/// not one: the simulator's speed drifted by up to a third between runs
+/// minutes apart, more than any bound allows.
 pub fn run(seed: u64, seconds: f64, traced: bool, report: &mut Report) {
+    let mut over_sim = None;
+    let mut seconds = seconds;
+    if traced {
+        let mut r = Report::default();
+        crate::workloads::sim::run(seed, seconds / 3.0, true, &mut r);
+        over_sim = Some(r);
+        seconds -= seconds / 3.0;
+    }
     let topo = SwitchTopology::for_cluster_wide(HOSTS);
     let plan = plan(seeds(seed, 1));
     check::reserve(LATENCY_SAMPLES);
@@ -457,7 +449,7 @@ pub fn run(seed: u64, seconds: f64, traced: bool, report: &mut Report) {
     report.set("goodput_mb_s", best_high(&mut goodput));
     report.note(format!(
         "per episode: {} rounds, {} bounces, {} timer retransmits, {} faults injected over {} messages; fairness {:.4}",
-        e0.rounds, e0.stats.bounced, e0.stats.timer_retransmits, e0.fault_injected, e0.delivered, e0.fairness
+        e0.rounds, e0.stats.bounced, e0.stats.timer_retransmits, e0.fault_injected, e0.total_delivered, e0.fairness
     ));
     if !traced {
         return;
@@ -470,7 +462,7 @@ pub fn run(seed: u64, seconds: f64, traced: bool, report: &mut Report) {
         "trace.overhead_frac",
         best_low(&mut traced_s) / best_low(&mut untraced_s) - 1.0,
     );
-    let d = e0.delivered as f64;
+    let d = e0.total_delivered as f64;
     let handler_calls = spans.get(Name::Handler).count as f64;
     report.set("e2e.latency_128_p50_us", best_low(&mut lat_full));
     report.set("e2e.fairness", e0.fairness);
@@ -501,44 +493,24 @@ pub fn run(seed: u64, seconds: f64, traced: bool, report: &mut Report) {
     report.set("switched.dropped_timed_out", e0.dropped_timed_out as f64);
     report.set("switched.batch_p50", e0.batch_p50 as f64);
     report.set("switched.rounds", e0.rounds as f64);
-    let s = &e0.stats;
     report.set(
         "flow.window_full_frac",
         ratio(e0.would_block as f64, e0.try_sends as f64),
     );
-    report.set(
-        "flow.ack_frames_per_msg",
-        ratio(s.ack_frames_sent as f64, d),
-    );
-    report.set("flow.bounces_per_msg", ratio(s.bounced as f64, d));
-    report.set("flow.rejected_per_msg", ratio(s.rejected as f64, d));
-    report.set("flow.retransmits_per_msg", ratio(s.retransmitted as f64, d));
-    report.set("flow.timer_retransmits", s.timer_retransmits as f64);
-    report.set("flow.duplicates", s.duplicates as f64);
-    report.set(
-        "flow.useful_frac",
-        ratio(s.delivered as f64, (s.sent + s.retransmitted) as f64),
-    );
-    report.set(
-        "frame.wire_bytes_per_msg",
-        ratio(
-            (s.sent * (FM_HEADER_BYTES + FM_CRC_BYTES) as u64 + e0.payload_bytes) as f64,
-            d,
-        ),
-    );
-    let (pushed, full_rings, polled, batches) = e0.fabric;
-    report.set(
-        "fabric.frames_per_batch",
-        ratio(polled as f64, batches as f64),
-    );
-    report.set(
-        "fabric.ring_full_frac",
-        ratio(full_rings as f64, pushed as f64),
+    report_counters(
+        &e0.stats,
+        &e0.fabric,
+        e0.total_delivered,
+        e0.total_payload_bytes,
+        report,
     );
     report.set("fault.injected", e0.fault_injected as f64);
     report.set("fault.digest", e0.fault_digest as f64);
     report.set("telemetry.rtt_p50", e0.rtt_p50);
     report.set("alloc.per_msg", ratio(e0.allocs as f64, d));
     report.set("alloc.peak_bytes", e0.peak as f64);
+    if let Some(r) = over_sim {
+        report.absorb(&["des.", "sim."], r);
+    }
     frame_costs(&[SMALL, FULL], report);
 }

@@ -8,10 +8,15 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use bytes::Bytes;
-use fm_core::{crc32, HandlerId, NodeId, WireFrame, FM_FRAME_MAX};
+use fm_core::mem::FabricStats;
+use fm_core::{
+    crc32, EndpointStats, HandlerId, MemEndpoint, NodeId, WireFrame, FM_CRC_BYTES, FM_FRAME_MAX,
+    FM_HEADER_BYTES,
+};
 use fm_des::rng::Xoshiro256;
 
 use crate::report::Report;
+use crate::stats::ratio;
 
 /// Bytes per MiB: goodput is reported in MiB/s, the unit of the paper's
 /// bandwidth figures and of `fm_metrics`.
@@ -37,6 +42,71 @@ pub fn digest(words: &[u64]) -> u64 {
         }
     }
     h & ((1 << 48) - 1)
+}
+
+/// The protocol and wire-fabric counters of `eps`, summed.
+pub fn sum_counters(eps: &[MemEndpoint]) -> (EndpointStats, FabricStats) {
+    let mut st = EndpointStats::default();
+    let mut fab = FabricStats::default();
+    for ep in eps {
+        let s = ep.stats();
+        st.sent += s.sent;
+        st.retransmitted += s.retransmitted;
+        st.delivered += s.delivered;
+        st.rejected += s.rejected;
+        st.bounced += s.bounced;
+        st.ack_frames_sent += s.ack_frames_sent;
+        st.corrupt += s.corrupt;
+        st.duplicates += s.duplicates;
+        st.timer_retransmits += s.timer_retransmits;
+        let f = ep.fabric_stats();
+        fab.pushed += f.pushed;
+        fab.full += f.full;
+        fab.polled += f.polled;
+        fab.batches += f.batches;
+    }
+    (st, fab)
+}
+
+/// Report the `flow.*`, `fabric.*` and `frame.wire_bytes_per_msg` metrics
+/// from counters covering `delivered` unique messages of `payload_bytes`.
+pub fn report_counters(
+    st: &EndpointStats,
+    fab: &FabricStats,
+    delivered: u64,
+    payload_bytes: u64,
+    report: &mut Report,
+) {
+    let d = delivered as f64;
+    report.set(
+        "flow.ack_frames_per_msg",
+        ratio(st.ack_frames_sent as f64, d),
+    );
+    report.set("flow.bounces_per_msg", ratio(st.bounced as f64, d));
+    report.set("flow.rejected_per_msg", ratio(st.rejected as f64, d));
+    report.set(
+        "flow.retransmits_per_msg",
+        ratio(st.retransmitted as f64, d),
+    );
+    report.set("flow.timer_retransmits", st.timer_retransmits as f64);
+    report.set("flow.duplicates", st.duplicates as f64);
+    report.set(
+        "flow.useful_frac",
+        ratio(st.delivered as f64, (st.sent + st.retransmitted) as f64),
+    );
+    let overhead = (FM_HEADER_BYTES + FM_CRC_BYTES) as u64;
+    report.set(
+        "frame.wire_bytes_per_msg",
+        ratio((st.sent * overhead + payload_bytes) as f64, d),
+    );
+    report.set(
+        "fabric.frames_per_batch",
+        ratio(fab.polled as f64, fab.batches as f64),
+    );
+    report.set(
+        "fabric.ring_full_frac",
+        ratio(fab.full as f64, fab.pushed as f64),
+    );
 }
 
 /// Time the frame layer's public calls on data frames of the workload's

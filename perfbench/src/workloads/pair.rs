@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use fm_core::{
     EndpointConfig, FabricKind, HandlerId, MemCluster, MemEndpoint, NodeId, SendError,
-    TelemetryMetric, FM_CRC_BYTES, FM_FRAME_PAYLOAD, FM_HEADER_BYTES,
+    TelemetryMetric, FM_FRAME_PAYLOAD,
 };
 use fm_des::rng::Xoshiro256;
 
@@ -20,7 +20,7 @@ use crate::check;
 use crate::report::Report;
 use crate::stats::{best_high, median, ratio, SlicedLatency};
 use crate::trace::{self, Name};
-use crate::workloads::{frame_costs, seeds, MIB};
+use crate::workloads::{frame_costs, report_counters, seeds, sum_counters, MIB};
 
 const SMALL: usize = 16;
 const FULL: usize = FM_FRAME_PAYLOAD;
@@ -487,68 +487,15 @@ pub fn run(fabric: FabricKind, seed: u64, seconds: f64, traced: bool, report: &m
         );
     }
 
-    let st = pair
-        .eps
-        .iter()
-        .fold(fm_core::EndpointStats::default(), |acc, ep| {
-            let s = ep.stats();
-            fm_core::EndpointStats {
-                sent: acc.sent + s.sent,
-                retransmitted: acc.retransmitted + s.retransmitted,
-                delivered: acc.delivered + s.delivered,
-                rejected: acc.rejected + s.rejected,
-                bounced: acc.bounced + s.bounced,
-                ack_frames_sent: acc.ack_frames_sent + s.ack_frames_sent,
-                duplicates: acc.duplicates + s.duplicates,
-                timer_retransmits: acc.timer_retransmits + s.timer_retransmits,
-                ..acc
-            }
-        });
-    report.set(
-        "flow.ack_frames_per_msg",
-        ratio(st.ack_frames_sent as f64, delivered),
+    let (st, fab) = sum_counters(&pair.eps);
+    report_counters(
+        &st,
+        &fab,
+        check::delivered(),
+        check::payload_bytes(),
+        report,
     );
-    report.set("flow.bounces_per_msg", ratio(st.bounced as f64, delivered));
-    report.set(
-        "flow.rejected_per_msg",
-        ratio(st.rejected as f64, delivered),
-    );
-    report.set(
-        "flow.retransmits_per_msg",
-        ratio(st.retransmitted as f64, delivered),
-    );
-    report.set("flow.timer_retransmits", st.timer_retransmits as f64);
-    report.set("flow.duplicates", st.duplicates as f64);
-    report.set(
-        "flow.useful_frac",
-        ratio(st.delivered as f64, (st.sent + st.retransmitted) as f64),
-    );
-    report.set(
-        "frame.wire_bytes_per_msg",
-        ratio(
-            (st.sent * (FM_HEADER_BYTES + FM_CRC_BYTES) as u64 + check::payload_bytes()) as f64,
-            delivered,
-        ),
-    );
-    if !udp {
-        let (pushed, full, polled, batches) =
-            pair.eps
-                .iter()
-                .map(|ep| ep.fabric_stats())
-                .fold((0, 0, 0, 0), |a, s| {
-                    (
-                        a.0 + s.pushed,
-                        a.1 + s.full,
-                        a.2 + s.polled,
-                        a.3 + s.batches,
-                    )
-                });
-        report.set(
-            "fabric.frames_per_batch",
-            ratio(polled as f64, batches as f64),
-        );
-        report.set("fabric.ring_full_frac", ratio(full as f64, pushed as f64));
-    } else {
+    if udp {
         let (out, backpressure) = pair
             .eps
             .iter()
@@ -560,7 +507,7 @@ pub fn run(fabric: FabricKind, seed: u64, seconds: f64, traced: bool, report: &m
         report.set("udp.handshake_s", median(&mut handshakes));
     }
     if let Some(r) = over_udp {
-        report.absorb("udp.", r);
+        report.absorb(&["udp."], r);
     }
     let rtt = pair.eps[A]
         .telemetry()

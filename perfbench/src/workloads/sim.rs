@@ -6,7 +6,8 @@
 //! streams messages both ways to quiescence. Calls repeat with the same
 //! seed until the run's time is up: their reports must match exactly, and
 //! the wall time of one call is the latency a user of the simulator waits
-//! for.
+//! for. Calls are grouped into slices of [`CALLS_PER_SLICE`] for the
+//! best-decile figures (see [`crate::stats::best_low`]).
 
 use std::time::Instant;
 
