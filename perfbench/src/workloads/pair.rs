@@ -5,7 +5,7 @@
 //! the sender's window full, and (ring only) 4 KiB `send_large` messages,
 //! each of which fits in one window so a single thread never blocks.
 //! Cycles repeat until the run's time is up; every rate and percentile is
-//! the best decile over slices (see [`crate::stats::best_low`]).
+//! the best 2 % over slices (see [`crate::stats::best_low`]).
 
 use std::time::{Duration, Instant};
 

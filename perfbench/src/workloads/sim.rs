@@ -7,7 +7,7 @@
 //! seed until the run's time is up: their reports must match exactly, and
 //! the wall time of one call is the latency a user of the simulator waits
 //! for. Calls are grouped into slices of [`CALLS_PER_SLICE`] for the
-//! best-decile figures (see [`crate::stats::best_low`]).
+//! best-slices figures (see [`crate::stats::best_low`]).
 
 use std::time::Instant;
 
