@@ -44,7 +44,8 @@ pub fn digest(words: &[u64]) -> u64 {
     h & ((1 << 48) - 1)
 }
 
-/// The protocol and wire-fabric counters of `eps`, summed.
+/// The wire-fabric counters of `eps` and the protocol counters this
+/// benchmark reports, summed; the other `EndpointStats` fields stay 0.
 pub fn sum_counters(eps: &[MemEndpoint]) -> (EndpointStats, FabricStats) {
     let mut st = EndpointStats::default();
     let mut fab = FabricStats::default();
