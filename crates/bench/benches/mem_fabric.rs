@@ -96,7 +96,7 @@ fn bench_send_large(c: &mut Criterion) {
 /// (encode-in-place, batched drain) vs the channel baseline (heap box +
 /// queue node per frame). Push/drain cycles run on the bench thread so the
 /// numbers isolate fabric cost, not scheduler noise. This is the ratio
-/// `scripts/bench_gate` enforces (>= 3x).
+/// `scripts/bench gate` enforces (>= 3x).
 fn bench_wire_fabric(c: &mut Criterion) {
     const BATCH: usize = 256;
     let frame = WireFrame::data(

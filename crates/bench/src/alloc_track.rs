@@ -1,6 +1,6 @@
 //! A counting global allocator for allocation-regression measurements.
 //!
-//! `scripts/bench_gate` (the `bench_gate` binary) installs [`CountingAlloc`]
+//! `scripts/bench gate` (the `bench_gate` binary) installs [`CountingAlloc`]
 //! as the process allocator and snapshots [`allocations`] around the
 //! steady-state section of its workloads; the delta is how
 //! `BENCH_fabric.json` proves the short-message path performs zero heap

@@ -10,60 +10,41 @@
 //!
 //! Every run is deterministic (fixed seed per point) and doubles as an
 //! exactly-once check: the experiment panics if any message is lost,
-//! duplicated or reordered. `--smoke` shrinks the per-point message count
-//! for CI; `--out PATH` overrides the output path.
+//! duplicated or reordered, and the `exactly_once` gate re-checks every
+//! point's delivered count. All gates are deterministic, so `--smoke` only
+//! shrinks the per-point message count.
 
+use fm_bench::report::{fixed, Gate, Json, Run};
 use fm_testbed::faults::{run_loss_point, FaultSweepConfig};
-use std::fmt::Write as _;
 
 /// The injected per-category fault rates of the sweep.
 const RATES: [f64; 5] = [0.0, 0.01, 0.02, 0.05, 0.10];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out_path = "BENCH_faults.json".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => match it.next() {
-                Some(p) => out_path = p.clone(),
-                None => {
-                    eprintln!("error: --out requires a path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("error: unknown argument `{other}`");
-                eprintln!("usage: bench_faults [--smoke] [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
-
+    let run = Run::from_args("bench_faults", "BENCH_faults.json", &[]);
     let cfg = FaultSweepConfig {
-        count: if smoke { 2_000 } else { 20_000 },
+        count: if run.smoke { 2_000 } else { 20_000 },
         ..Default::default()
     };
 
-    let mut points = String::new();
-    for (i, &rate) in RATES.iter().enumerate() {
+    let mut points = Vec::new();
+    let mut short = 0;
+    for &rate in &RATES {
         eprintln!(
             "bench_faults: rate {:.0}% ({} messages)...",
             rate * 100.0,
             cfg.count
         );
         let p = run_loss_point(rate, cfg);
-        // run_loss_point asserts exactly-once in-order delivery itself.
-        assert_eq!(p.delivered as usize, cfg.count);
+        short += (p.delivered as usize != cfg.count) as u32;
+        let us = |d: fm_des::Duration| d.as_ps() as f64 / 1e6;
         println!(
             "rate {:>4.1}%: goodput {:>8.2} MB/s  p50 {:>7.1} us  p99 {:>8.1} us  \
              (drops {} dups {} corrupt {} delays {} | timer-rtx {} dedup {})",
             rate * 100.0,
             p.goodput_mbs,
-            p.p50.as_ps() as f64 / 1e6,
-            p.p99.as_ps() as f64 / 1e6,
+            us(p.p50),
+            us(p.p99),
             p.injected_drops,
             p.injected_dups,
             p.injected_corrupt,
@@ -71,59 +52,45 @@ fn main() {
             p.timer_retransmits,
             p.duplicates_suppressed,
         );
-        write!(
-            points,
-            concat!(
-                "    {{\n",
-                "      \"rate\": {rate},\n",
-                "      \"delivered\": {delivered},\n",
-                "      \"goodput_mbs\": {goodput:.3},\n",
-                "      \"p50_us\": {p50:.2},\n",
-                "      \"p99_us\": {p99:.2},\n",
-                "      \"elapsed_us\": {elapsed:.1},\n",
-                "      \"injected\": {{ \"drops\": {drops}, \"dups\": {dups}, \"corrupt\": {corrupt}, \"delays\": {delays} }},\n",
-                "      \"recovery\": {{ \"crc_rejected\": {crc}, \"retransmitted\": {rtx}, \"timer_retransmits\": {trtx}, \"duplicates_suppressed\": {dedup} }}\n",
-                "    }}{comma}\n",
-            ),
-            rate = rate,
-            delivered = p.delivered,
-            goodput = p.goodput_mbs,
-            p50 = p.p50.as_ps() as f64 / 1e6,
-            p99 = p.p99.as_ps() as f64 / 1e6,
-            elapsed = p.elapsed.as_ps() as f64 / 1e6,
-            drops = p.injected_drops,
-            dups = p.injected_dups,
-            corrupt = p.injected_corrupt,
-            delays = p.injected_delays,
-            crc = p.crc_rejected,
-            rtx = p.retransmitted,
-            trtx = p.timer_retransmits,
-            dedup = p.duplicates_suppressed,
-            comma = if i + 1 < RATES.len() { "," } else { "" },
-        )
-        .expect("writing to String cannot fail");
+        points.push(
+            Json::obj()
+                .with("rate", rate)
+                .with("delivered", p.delivered)
+                .with("goodput_mbs", fixed(p.goodput_mbs, 3))
+                .with("p50_us", fixed(us(p.p50), 2))
+                .with("p99_us", fixed(us(p.p99), 2))
+                .with("elapsed_us", fixed(us(p.elapsed), 1))
+                .with(
+                    "injected",
+                    Json::obj()
+                        .with("drops", p.injected_drops)
+                        .with("dups", p.injected_dups)
+                        .with("corrupt", p.injected_corrupt)
+                        .with("delays", p.injected_delays),
+                )
+                .with(
+                    "recovery",
+                    Json::obj()
+                        .with("crc_rejected", p.crc_rejected)
+                        .with("retransmitted", p.retransmitted)
+                        .with("timer_retransmits", p.timer_retransmits)
+                        .with("duplicates_suppressed", p.duplicates_suppressed),
+                ),
+        );
     }
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"fault_sweep\",\n",
-            "  \"smoke\": {smoke},\n",
-            "  \"messages_per_point\": {count},\n",
-            "  \"payload_bytes\": {payload},\n",
-            "  \"seed\": {seed},\n",
-            "  \"exactly_once\": true,\n",
-            "  \"points\": [\n",
-            "{points}",
-            "  ]\n",
-            "}}\n",
-        ),
-        smoke = smoke,
-        count = cfg.count,
-        payload = cfg.payload,
-        seed = cfg.seed,
-        points = points,
-    );
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
-    println!("wrote {out_path}");
+    let gates = vec![
+        Gate::at_most("exactly_once", short as f64, 0.0),
+        Gate::at_least("sweep_points", RATES.len() as f64, 4.0),
+        Gate::holds("sweep_rates_ascending", RATES.is_sorted()),
+    ];
+    let doc = Json::obj()
+        .with("bench", "fault_sweep")
+        .with("smoke", run.smoke)
+        .with("messages_per_point", cfg.count)
+        .with("payload_bytes", cfg.payload)
+        .with("seed", cfg.seed)
+        .with("exactly_once", short == 0)
+        .with("points", points);
+    std::process::exit(run.finish(doc, gates));
 }

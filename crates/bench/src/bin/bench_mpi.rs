@@ -28,6 +28,7 @@
 //! A nonzero exit on gate failure; `--out PATH` overrides the output
 //! path.
 
+use fm_bench::report::{fixed, sizes_gate, Gate, Json, Run};
 use fm_core::endpoint::EndpointConfig;
 use fm_core::{SwitchConfig, SwitchTopology};
 use fm_mpi::{Communicator, MpiCluster, ReduceOp};
@@ -142,27 +143,8 @@ struct SizeRow {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out_path = "BENCH_mpi.json".to_string();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => match it.next() {
-                Some(p) => out_path = p,
-                None => {
-                    eprintln!("error: --out requires a path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: bench_mpi [--smoke] [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
-    let iters: u32 = if smoke { 2 } else { 8 };
+    let run = Run::from_args("bench_mpi", "BENCH_mpi.json", &[]);
+    let iters: u32 = if run.smoke { 2 } else { 8 };
 
     let mut rows = Vec::new();
     for &n in &SIZES {
@@ -178,123 +160,69 @@ fn main() {
 
     let at = |n: usize| rows.iter().find(|r| r.n == n).expect("size measured");
     let last = rows.last().expect("sizes nonempty");
-    let barrier_ratio = last.barrier_linear.busiest_link / last.barrier_tree.busiest_link;
-    let allreduce_ratio = last.allreduce_linear.busiest_link / last.allreduce_tree.busiest_link;
-    // Growth from 16 -> max size: the tree must scale sub-linearly
-    // relative to the baseline.
-    let barrier_tree_growth = last.barrier_tree.busiest_link / at(16).barrier_tree.busiest_link;
-    let barrier_linear_growth =
-        last.barrier_linear.busiest_link / at(16).barrier_linear.busiest_link;
-    let allreduce_tree_growth =
-        last.allreduce_tree.busiest_link / at(16).allreduce_tree.busiest_link;
-    let allreduce_linear_growth =
-        last.allreduce_linear.busiest_link / at(16).allreduce_linear.busiest_link;
-
-    struct Gate {
-        name: &'static str,
-        value: f64,
-        bound: f64,
-        pass: bool,
-    }
-    let gates = [
-        Gate {
-            name: "barrier_busiest_link_ratio_at_max",
-            value: barrier_ratio,
-            bound: MIN_RATIO_AT_MAX,
-            pass: barrier_ratio >= MIN_RATIO_AT_MAX,
-        },
-        Gate {
-            name: "allreduce_busiest_link_ratio_at_max",
-            value: allreduce_ratio,
-            bound: MIN_RATIO_AT_MAX,
-            pass: allreduce_ratio >= MIN_RATIO_AT_MAX,
-        },
-        Gate {
-            name: "barrier_tree_growth_sublinear_vs_baseline",
-            value: barrier_tree_growth,
-            bound: barrier_linear_growth,
-            pass: barrier_tree_growth < barrier_linear_growth,
-        },
-        Gate {
-            name: "allreduce_tree_growth_sublinear_vs_baseline",
-            value: allreduce_tree_growth,
-            bound: allreduce_linear_growth,
-            pass: allreduce_tree_growth < allreduce_linear_growth,
-        },
+    // Busiest-link ratio linear / tree at the largest size, and growth
+    // from 16 -> max size: the tree must scale sub-linearly relative to
+    // the baseline.
+    let ratio = |tree: &Phase, linear: &Phase| linear.busiest_link / tree.busiest_link;
+    let growth = |f: fn(&SizeRow) -> &Phase| f(last).busiest_link / f(at(16)).busiest_link;
+    let mut gates = vec![
+        Gate::at_least(
+            "barrier_busiest_link_ratio_at_max",
+            ratio(&last.barrier_tree, &last.barrier_linear),
+            MIN_RATIO_AT_MAX,
+        ),
+        Gate::at_least(
+            "allreduce_busiest_link_ratio_at_max",
+            ratio(&last.allreduce_tree, &last.allreduce_linear),
+            MIN_RATIO_AT_MAX,
+        ),
+        Gate::below(
+            "barrier_tree_growth_sublinear_vs_baseline",
+            growth(|r| &r.barrier_tree),
+            growth(|r| &r.barrier_linear),
+        ),
+        Gate::below(
+            "allreduce_tree_growth_sublinear_vs_baseline",
+            growth(|r| &r.allreduce_tree),
+            growth(|r| &r.allreduce_linear),
+        ),
     ];
-    let all_pass = gates.iter().all(|g| g.pass);
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"mpi_collectives\",\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"iters_per_op\": {iters},\n"));
-    json.push_str("  \"unit\": \"frames on busiest link per collective op\",\n");
-    json.push_str("  \"topology\": \"for_cluster_wide (fat tree past 8 hosts)\",\n");
-    json.push_str("  \"sizes\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"n\": {}, \"barrier\": {{\"tree\": {:.2}, \"linear\": {:.2}, \
-             \"ratio\": {:.2}, \"tree_wall_us\": {:.1}, \"linear_wall_us\": {:.1}}}, \
-             \"allreduce\": {{\"tree\": {:.2}, \"linear\": {:.2}, \"ratio\": {:.2}, \
-             \"tree_wall_us\": {:.1}, \"linear_wall_us\": {:.1}}}}}{}\n",
-            r.n,
-            r.barrier_tree.busiest_link,
-            r.barrier_linear.busiest_link,
-            r.barrier_linear.busiest_link / r.barrier_tree.busiest_link,
-            r.barrier_tree.wall_us,
-            r.barrier_linear.wall_us,
-            r.allreduce_tree.busiest_link,
-            r.allreduce_linear.busiest_link,
-            r.allreduce_linear.busiest_link / r.allreduce_tree.busiest_link,
-            r.allreduce_tree.wall_us,
-            r.allreduce_linear.wall_us,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"gates\": [\n");
-    for (i, g) in gates.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"value\": {:.3}, \"bound\": {:.3}, \"pass\": {}}}{}\n",
-            g.name,
-            g.value,
-            g.bound,
-            g.pass,
-            if i + 1 < gates.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"enforced\": true,\n");
-    json.push_str(&format!("  \"pass\": {all_pass}\n"));
-    json.push_str("}\n");
-    std::fs::write(&out_path, &json).expect("write result JSON");
 
     println!("bench_mpi: busiest-link frames per op (linear/tree ratio)");
+    let op = |tree: &Phase, linear: &Phase| {
+        Json::obj()
+            .with("tree", fixed(tree.busiest_link, 2))
+            .with("linear", fixed(linear.busiest_link, 2))
+            .with("ratio", fixed(ratio(tree, linear), 2))
+            .with("tree_wall_us", fixed(tree.wall_us, 1))
+            .with("linear_wall_us", fixed(linear.wall_us, 1))
+    };
+    let mut sizes = Vec::new();
     for r in &rows {
         println!(
             "  n={:>2}: barrier {:>6.1} vs {:>6.1} ({:>4.1}x)   allreduce {:>6.1} vs {:>6.1} ({:>4.1}x)",
             r.n,
             r.barrier_linear.busiest_link,
             r.barrier_tree.busiest_link,
-            r.barrier_linear.busiest_link / r.barrier_tree.busiest_link,
+            ratio(&r.barrier_tree, &r.barrier_linear),
             r.allreduce_linear.busiest_link,
             r.allreduce_tree.busiest_link,
-            r.allreduce_linear.busiest_link / r.allreduce_tree.busiest_link,
+            ratio(&r.allreduce_tree, &r.allreduce_linear),
+        );
+        sizes.push(
+            Json::obj()
+                .with("n", r.n)
+                .with("barrier", op(&r.barrier_tree, &r.barrier_linear))
+                .with("allreduce", op(&r.allreduce_tree, &r.allreduce_linear)),
         );
     }
-    for g in &gates {
-        println!(
-            "  gate {:<45} value {:>8.3} bound {:>8.3} {}",
-            g.name,
-            g.value,
-            g.bound,
-            if g.pass { "PASS" } else { "FAIL" }
-        );
-    }
-    println!("wrote {out_path}");
-    if !all_pass {
-        eprintln!("bench_mpi: gate failure");
-        std::process::exit(1);
-    }
+    let doc = Json::obj()
+        .with("bench", "mpi_collectives")
+        .with("smoke", run.smoke)
+        .with("iters_per_op", iters)
+        .with("unit", "frames on busiest link per collective op")
+        .with("topology", "for_cluster_wide (fat tree past 8 hosts)")
+        .with("sizes", sizes);
+    gates.push(sizes_gate(&doc, "sizes", &[4, 8, 16, 32, 64]));
+    std::process::exit(run.finish(doc, gates));
 }

@@ -26,10 +26,14 @@
 //!    the per-collective span events, so the collector's
 //!    `fm_collective_duration_ticks` series must cover all three kinds.
 //!
-//! `--smoke` trims message counts; every alarm-count gate is enforced in
-//! both modes (detector behaviour is the product under test, not a
-//! performance number).
+//! `--smoke` trims message counts; every gate (`fm_bench::report`) is
+//! deterministic and enforced in both modes — detector behaviour is the
+//! product under test, not a performance number. The gates re-read
+//! `obs.prom` and `obs.trace.json` from disk: every Prometheus sample must
+//! be finite and the advertised series present, and the trace must hold
+//! events.
 
+use fm_bench::report::{fixed, prom_samples, read_json, trace_gates, Gate, Json, Run};
 use fm_core::{
     EndpointConfig, FaultConfig, HandlerId, LinkFaults, MemEndpoint, NodeId, Roster,
     SwitchRunner, SwitchTopology, SwitchedCluster, TimeSource, UdpConfig,
@@ -71,24 +75,10 @@ fn main() {
         return;
     }
 
-    let mut smoke = false;
-    let mut out_path = "BENCH_obs.json".to_string();
-    let mut prom_path = "obs.prom".to_string();
-    let mut trace_path = "obs.trace.json".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out_path = it.next().expect("--out requires a path").clone(),
-            "--prom" => prom_path = it.next().expect("--prom requires a path").clone(),
-            "--trace" => trace_path = it.next().expect("--trace requires a path").clone(),
-            other => {
-                eprintln!("error: unknown argument `{other}`");
-                eprintln!("usage: bench_obs [--smoke] [--out PATH] [--prom PATH] [--trace PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
+    let run = Run::from_args("bench_obs", "BENCH_obs.json", &["--prom", "--trace"]);
+    let smoke = run.smoke;
+    let prom_path = run.flag("--prom").unwrap_or("obs.prom").to_string();
+    let trace_path = run.flag("--trace").unwrap_or("obs.trace.json").to_string();
 
     let mut collector = Collector::bind("127.0.0.1:0").expect("bind collector socket");
     let addr = collector.local_addr().expect("collector address");
@@ -98,10 +88,7 @@ fn main() {
     let pair_msgs: u32 = if smoke { 1_500 } else { 6_000 };
     eprintln!("bench_obs: [1/4] two-process UDP pair, {pair_msgs} msgs/stream at 5% faults...");
     let delivered = run_udp_pair(&mut collector, addr, pair_msgs);
-    assert_eq!(delivered, 2 * pair_msgs as u64, "pair must deliver exactly-once");
     let pair_beacons = (collector.endpoint_beacons(8), collector.endpoint_beacons(9));
-    assert!(pair_beacons.0 > 0, "node 8 (child process) sent no beacons");
-    assert!(pair_beacons.1 > 0, "node 9 (child process) sent no beacons");
     let pair_flows = collector.merged().flow_pairs();
 
     // Phase 2: dead-peer detector.
@@ -126,10 +113,10 @@ fn main() {
 
     // ---- gates (enforced in --smoke too: detector behaviour, not perf) -----
     let (storm, incast, dead) = collector.alarm_counts();
-    let prom = collector.prometheus();
-    let trace = collector.chrome_trace();
-    std::fs::write(&prom_path, &prom).unwrap_or_else(|e| panic!("writing {prom_path}: {e}"));
-    std::fs::write(&trace_path, &trace).unwrap_or_else(|e| panic!("writing {trace_path}: {e}"));
+    std::fs::write(&prom_path, collector.prometheus())
+        .unwrap_or_else(|e| panic!("writing {prom_path}: {e}"));
+    std::fs::write(&trace_path, collector.chrome_trace())
+        .unwrap_or_else(|e| panic!("writing {trace_path}: {e}"));
 
     for a in collector.alarms() {
         println!("alarm: {}", a.describe());
@@ -138,51 +125,94 @@ fn main() {
     // link makes node 0 storm, the closed port kills node 10's peer, and
     // the hand-built switch-99 samples collapse fairness. The lossy
     // two-process soak may legitimately raise extra storm alarms when
-    // the scheduler stalls a child (reported above, not gated). The
+    // the scheduler stalls a child (reported, gated only as >= 1). The
     // counter-fed detectors read zero in a telemetry-off build; the
     // synthetic incast samples are hand-built and fire either way.
     use fm_telemetry::Alarm;
-    let counting = fm_telemetry::ENABLED as u64;
-    let seeded_storms = collector
-        .alarms()
-        .iter()
-        .filter(|a| matches!(a, Alarm::RetransmitStorm { node: 0, .. }))
-        .count() as u64;
-    let seeded_dead = collector
-        .alarms()
-        .iter()
-        .filter(|a| matches!(a, Alarm::DeadPeer { node: 10, .. }))
-        .count() as u64;
-    let seeded_incast = collector
-        .alarms()
-        .iter()
-        .filter(|a| matches!(a, Alarm::IncastCapture { switch: 99, .. }))
-        .count() as u64;
-    assert_eq!(seeded_storms, counting, "seeded retransmit storm must fire exactly once");
-    assert_eq!(seeded_dead, counting, "seeded dead peer must fire exactly once");
-    assert_eq!(seeded_incast, 1, "seeded incast capture must fire exactly once");
-    assert_eq!(
-        incast, 1,
-        "no real shard may trip the fairness detector (DRR keeps incast fair)"
-    );
-    assert!(
-        fm_telemetry::ENABLED == (coll_kinds >= 3),
-        "collective duration series must cover barrier/allreduce/bcast \
-         (saw {coll_kinds} kinds; telemetry enabled: {})",
-        fm_telemetry::ENABLED
-    );
-    assert!(!prom.contains("NaN"), "prometheus output must not contain NaN");
-    for needle in [
+    let enabled = fm_telemetry::ENABLED;
+    let seeded = |f: fn(&Alarm) -> bool| collector.alarms().iter().filter(|a| f(a)).count() as f64;
+    let counting = enabled as u8 as f64;
+    let stats = &collector.stats;
+    let mut gates = vec![
+        Gate::equal("pair_delivered", delivered as f64, 2.0 * pair_msgs as f64),
+        Gate::above("beacons_node8", pair_beacons.0 as f64, 0.0),
+        Gate::above("beacons_node9", pair_beacons.1 as f64, 0.0),
+        Gate::equal(
+            "seeded_storm_alarms",
+            seeded(|a| matches!(a, Alarm::RetransmitStorm { node: 0, .. })),
+            counting,
+        ),
+        Gate::equal(
+            "seeded_dead_peer_alarms",
+            seeded(|a| matches!(a, Alarm::DeadPeer { node: 10, .. })),
+            counting,
+        ),
+        Gate::equal(
+            "seeded_incast_alarms",
+            seeded(|a| matches!(a, Alarm::IncastCapture { switch: 99, .. })),
+            1.0,
+        ),
+        // DRR keeps real incast fair: only the synthetic switch may fire.
+        Gate::equal("incast_capture_alarms", incast as f64, 1.0),
+        Gate::above("collector_beacons", stats.beacons as f64, 0.0),
+        Gate::at_least(
+            "endpoint_sources",
+            collector.endpoint_sources().len() as f64,
+            2.0,
+        ),
+    ];
+    if enabled {
+        gates.extend([
+            Gate::at_least("storm_alarms", storm as f64, 1.0),
+            Gate::at_least("dead_peer_alarms", dead as f64, 1.0),
+            Gate::at_least("shard_lanes", shards_seen as f64, 1.0),
+            Gate::equal("collective_kinds", coll_kinds as f64, 3.0),
+        ]);
+    } else {
+        gates.push(Gate::below("collective_kinds", coll_kinds as f64, 3.0));
+    }
+
+    // The side artifacts, read back from disk.
+    let prom = std::fs::read_to_string(&prom_path).unwrap_or_default();
+    let samples = prom_samples(&prom);
+    gates.push(Gate::holds("prom_no_nan", !prom.contains("NaN")));
+    let bad = samples.iter().filter(|(_, v)| !v.is_finite()).count();
+    gates.push(Gate::at_most("prom_nonfinite_samples", bad as f64, 0.0));
+    for series in [
         "fm_shard_queue_depth",
         "fm_shard_deficit",
         "fm_shard_input_forwarded_total",
         "fm_alarms_total",
         "fm_beacons_total",
+        "fm_collective_duration_ticks",
     ] {
-        assert!(prom.contains(needle), "prometheus output missing {needle} series");
+        let n = samples
+            .iter()
+            .filter(|(k, _)| k.starts_with(series))
+            .count();
+        gates.push(Gate::at_least(
+            &format!("prom_series.{series}"),
+            n as f64,
+            1.0,
+        ));
     }
+    for detector in ["retransmit_storm", "incast_capture", "dead_peer"] {
+        let hits = samples
+            .iter()
+            .find(|(k, _)| k.starts_with("fm_alarms_total") && k.contains(detector))
+            .map_or(0.0, |&(_, v)| v);
+        gates.push(Gate::at_least(
+            &format!("prom_alarms.{detector}"),
+            hits,
+            1.0,
+        ));
+    }
+    let trace = read_json(&trace_path).unwrap_or_else(|e| {
+        eprintln!("bench_obs: {e}");
+        Json::Null
+    });
+    gates.extend(trace_gates(&trace, None));
 
-    let stats = &collector.stats;
     println!(
         "collector: {} datagrams, {} beacons ({} endpoint sources, {} shard sources), \
          {} seq gaps",
@@ -192,79 +222,58 @@ fn main() {
         collector.shard_sources().len(),
         stats.seq_gaps,
     );
-    println!(
-        "alarms  : storm {storm}, incast {incast}, dead-peer {dead} \
-         (seeded sources each fired exactly once)"
-    );
-    println!("pair    : {delivered} msgs exactly-once across processes, {pair_flows} merged flows");
+    println!("alarms  : storm {storm}, incast {incast}, dead-peer {dead}");
+    println!("pair    : {delivered} msgs across processes, {pair_flows} merged flows");
     println!("shards  : {shards_seen} live lanes, clean-incast fairness {fairness_clean:.3}");
     println!("colls   : {coll_kinds} collective kinds with duration series");
+    println!("artifacts: {prom_path}, {trace_path}");
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"obs\",\n",
-            "  \"smoke\": {smoke},\n",
-            "  \"seed\": {seed},\n",
-            "  \"telemetry_enabled\": {enabled},\n",
-            "  \"alarms\": {{\n",
-            "    \"retransmit_storm\": {storm},\n",
-            "    \"incast_capture\": {incast},\n",
-            "    \"dead_peer\": {dead}\n",
-            "  }},\n",
-            "  \"collector\": {{\n",
-            "    \"datagrams\": {datagrams},\n",
-            "    \"beacons\": {beacons},\n",
-            "    \"crc_rejected\": {crc},\n",
-            "    \"malformed\": {malformed},\n",
-            "    \"foreign\": {foreign},\n",
-            "    \"seq_gaps\": {gaps},\n",
-            "    \"endpoint_sources\": {ep_sources},\n",
-            "    \"shard_sources\": {shard_sources}\n",
-            "  }},\n",
-            "  \"udp_pair\": {{\n",
-            "    \"messages_per_stream\": {pair_msgs},\n",
-            "    \"delivered\": {delivered},\n",
-            "    \"beacons_node8\": {b8},\n",
-            "    \"beacons_node9\": {b9},\n",
-            "    \"merged_flow_pairs\": {flows}\n",
-            "  }},\n",
-            "  \"switched\": {{\n",
-            "    \"shard_lanes\": {shards_seen},\n",
-            "    \"clean_incast_fairness\": {fairness:.4}\n",
-            "  }},\n",
-            "  \"collectives\": {{\n",
-            "    \"cycles\": {cycles},\n",
-            "    \"kinds_with_durations\": {kinds}\n",
-            "  }}\n",
-            "}}\n",
-        ),
-        smoke = smoke,
-        seed = RUN_SEED,
-        enabled = fm_telemetry::ENABLED,
-        storm = storm,
-        incast = incast,
-        dead = dead,
-        datagrams = stats.datagrams,
-        beacons = stats.beacons,
-        crc = stats.crc_rejected,
-        malformed = stats.malformed,
-        foreign = stats.foreign,
-        gaps = stats.seq_gaps,
-        ep_sources = collector.endpoint_sources().len(),
-        shard_sources = collector.shard_sources().len(),
-        pair_msgs = pair_msgs,
-        delivered = delivered,
-        b8 = pair_beacons.0,
-        b9 = pair_beacons.1,
-        flows = pair_flows,
-        shards_seen = shards_seen,
-        fairness = fairness_clean,
-        cycles = cycles,
-        kinds = coll_kinds,
-    );
-    std::fs::write(&out_path, json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
-    eprintln!("bench_obs: wrote {out_path}, {prom_path}, {trace_path}");
+    let doc = Json::obj()
+        .with("bench", "obs")
+        .with("smoke", smoke)
+        .with("seed", RUN_SEED)
+        .with("telemetry_enabled", enabled)
+        .with(
+            "alarms",
+            Json::obj()
+                .with("retransmit_storm", storm)
+                .with("incast_capture", incast)
+                .with("dead_peer", dead),
+        )
+        .with(
+            "collector",
+            Json::obj()
+                .with("datagrams", stats.datagrams)
+                .with("beacons", stats.beacons)
+                .with("crc_rejected", stats.crc_rejected)
+                .with("malformed", stats.malformed)
+                .with("foreign", stats.foreign)
+                .with("seq_gaps", stats.seq_gaps)
+                .with("endpoint_sources", collector.endpoint_sources().len())
+                .with("shard_sources", collector.shard_sources().len()),
+        )
+        .with(
+            "udp_pair",
+            Json::obj()
+                .with("messages_per_stream", pair_msgs)
+                .with("delivered", delivered)
+                .with("beacons_node8", pair_beacons.0)
+                .with("beacons_node9", pair_beacons.1)
+                .with("merged_flow_pairs", pair_flows),
+        )
+        .with(
+            "switched",
+            Json::obj()
+                .with("shard_lanes", shards_seen)
+                .with("clean_incast_fairness", fixed(fairness_clean, 4)),
+        )
+        .with(
+            "collectives",
+            Json::obj()
+                .with("cycles", cycles)
+                .with("kinds_with_durations", coll_kinds),
+        );
+    std::process::exit(run.finish(doc, gates));
 }
 
 // ---- phase 1: two OS processes ---------------------------------------------
@@ -407,7 +416,13 @@ fn run_switched(
     let faults = FaultConfig::new(RUN_SEED).link(
         NodeId(0),
         NodeId(5),
-        LinkFaults { drop: 0.40, dup: 0.0, corrupt: 0.0, delay: 0.0, max_delay_ticks: 0 },
+        LinkFaults {
+            drop: 0.40,
+            dup: 0.0,
+            corrupt: 0.0,
+            delay: 0.0,
+            max_delay_ticks: 0,
+        },
     );
     let mut cluster = SwitchedCluster::with_faults(&topo, Default::default(), faults);
     for ep in &mut cluster.endpoints {
@@ -417,9 +432,7 @@ fn run_switched(
     let mut shard_beacons: Vec<Beaconer> = cluster
         .shards
         .iter()
-        .map(|s| {
-            Beaconer::shard(s.switch_id() as u16, addr, MANUAL).expect("shard beacon socket")
-        })
+        .map(|s| Beaconer::shard(s.switch_id() as u16, addr, MANUAL).expect("shard beacon socket"))
         .collect();
 
     let got = Arc::new(AtomicU64::new(0));

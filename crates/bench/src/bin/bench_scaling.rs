@@ -17,17 +17,18 @@
 //!   single-threaded drive);
 //! * `trunks`  — deterministic drive-round counts for 8 all-crossing
 //!   flows over 1 vs 4 parallel trunks, and the resulting speedup;
-//! * `gate`    — the assertions, with `enforced_gates` naming which ones
-//!   fail the run. Deterministic gates (reject bounds, incast fairness,
-//!   trunk speedup) are enforced even under `--smoke`: they are exact
-//!   protocol properties, not timing measurements, so CI noise is no
-//!   excuse. The wall-clock monotonicity gate is enforced only on full
-//!   runs, with a 15% allowance and best-of-3 points to shed scheduler
-//!   noise (a single-measurement n=8 dip shipped a red gate once).
+//! * `gates`   — the checks (`fm_bench::report`). Deterministic gates
+//!   (reject bounds, incast bounces and fairness, trunk speedup, sweep
+//!   sanity) are enforced even under `--smoke`: they are exact protocol
+//!   properties, not timing measurements, so CI noise is no excuse. The
+//!   wall-clock monotonicity gate is enforced only on full runs, with a
+//!   15% allowance and best-of-3 points to shed scheduler noise (a
+//!   single-measurement n=8 dip shipped a red gate once).
 //!
-//! Exit status is 1 whenever any *enforced* gate is false — in both
-//! modes — so the CI smoke job cannot stay green past a regression.
+//! Exit status is 1 whenever any *enforced* gate fails — in both modes —
+//! so the CI smoke job cannot stay green past a regression.
 
+use fm_bench::report::{fixed, sizes_gate, Gate, Json, Run};
 use fm_core::{
     ClusterRunner, EndpointConfig, HandlerId, NodeId, SwitchRunner, SwitchTopology,
     SwitchedCluster,
@@ -36,15 +37,9 @@ use fm_telemetry::Histogram;
 use fm_testbed::scaling::{
     incast_config, live_incast, live_parallel_pairs, rounds_cross_pairs, LIVE_MSG_BYTES,
 };
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn usage() -> ! {
-    eprintln!("usage: bench_scaling [--smoke] [--out PATH]");
-    std::process::exit(2);
-}
 
 /// Incast fairness floor at the highest K (the ROADMAP target).
 const FAIRNESS_FLOOR: f64 = 0.8;
@@ -130,16 +125,8 @@ fn switched_pingpong(n: usize, warmup: u64, rounds: u64) -> (f64, f64, usize) {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out = String::from("BENCH_scaling.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = args.next().unwrap_or_else(|| usage()),
-            _ => usage(),
-        }
-    }
+    let run = Run::from_args("bench_scaling", "BENCH_scaling.json", &[]);
+    let smoke = run.smoke;
     let sizes: &[usize] = if smoke {
         &[2, 4, 8]
     } else {
@@ -219,163 +206,86 @@ fn main() {
     // exact (a correctness property, not a timing one); "constant in K"
     // tolerates a quarter-window of spread; fairness and the trunk
     // speedup are deterministic drive-round measurements.
-    let aggregate: Vec<f64> = points.iter().map(|p| p.aggregate_mbs).collect();
-    let monotone_2_64 = aggregate
+    let worst_step = points
         .windows(2)
-        .all(|w| w[1] >= MONOTONE_ALLOWANCE * w[0]);
-    let reject_bounded = incasts.iter().all(|p| p.peak_outstanding <= window);
+        .map(|w| w[1].aggregate_mbs / w[0].aggregate_mbs)
+        .fold(f64::INFINITY, f64::min);
     let peaks: Vec<usize> = incasts.iter().map(|p| p.peak_outstanding).collect();
-    let spread = peaks.iter().max().unwrap_or(&0) - peaks.iter().min().unwrap_or(&0);
-    let reject_constant = spread <= window / 4;
+    let peak_max = peaks.iter().copied().max().unwrap_or(0);
+    let spread = peak_max - peaks.iter().copied().min().unwrap_or(0);
     let fairness_k15 = incasts
         .iter()
         .max_by_key(|p| p.k)
-        .map(|p| p.fairness)
-        .unwrap_or(0.0);
-    let fairness_ok = fairness_k15 >= FAIRNESS_FLOOR;
-    let trunk_ok = trunk_speedup >= TRUNK_SPEEDUP_FLOOR;
-    // Deterministic gates are enforced in every mode; the wall-clock
-    // monotone gate only on full runs.
-    let mut enforced_gates = vec![
-        ("reject_bounded", reject_bounded),
-        ("reject_constant", reject_constant),
-        ("fairness_k15", fairness_ok),
-        ("trunk_speedup", trunk_ok),
+        .map_or(0.0, |p| p.fairness);
+    let min_of = |f: fn(&SizePoint) -> f64| points.iter().map(f).fold(f64::INFINITY, f64::min);
+    let mut gates = vec![
+        Gate::at_least("monotone_2_64", worst_step, MONOTONE_ALLOWANCE).wall_clock(),
+        Gate::at_most("reject_bounded", peak_max as f64, window as f64),
+        Gate::at_most("reject_constant", spread as f64, (window / 4) as f64),
+        Gate::at_least("fairness_k15", fairness_k15, FAIRNESS_FLOOR),
+        Gate::at_least("trunk_speedup", trunk_speedup, TRUNK_SPEEDUP_FLOOR),
+        Gate::at_least(
+            "incast_bounces",
+            incasts.iter().map(|p| p.rejected).min().unwrap_or(0) as f64,
+            1.0,
+        ),
+        Gate::above("points_aggregate_mbs", min_of(|p| p.aggregate_mbs), 0.0),
+        Gate::above("points_p50_us", min_of(|p| p.p50_us), 0.0),
+        Gate::at_least("points_hops", min_of(|p| p.hops as f64), 1.0),
     ];
-    if !smoke {
-        enforced_gates.push(("monotone_2_64", monotone_2_64));
-    }
 
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        concat!(
-            "{{\n",
-            "  \"bench\": \"scaling_gate\",\n",
-            "  \"smoke\": {smoke},\n",
-            "  \"msg_bytes\": {msg_bytes},\n",
-            "  \"msgs_per_pair\": {pair_count},\n",
-            "  \"reps\": {reps},\n",
-            "  \"points\": [\n"
-        ),
-        smoke = smoke,
-        msg_bytes = LIVE_MSG_BYTES,
-        pair_count = pair_count,
-        reps = reps,
-    );
-    for (i, p) in points.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"n\": {}, \"pairs\": {}, \"aggregate_mbs\": {:.2}, \"fairness\": {:.4}, \
-             \"p50_us\": {:.2}, \"p99_us\": {:.2}, \"hops\": {}}}{}",
-            p.n,
-            p.pairs,
-            p.aggregate_mbs,
-            p.fairness,
-            p.p50_us,
-            p.p99_us,
-            p.hops,
-            if i + 1 < points.len() { "," } else { "" },
+    let points: Vec<Json> = points
+        .iter()
+        .map(|p| {
+            Json::obj()
+                .with("n", p.n)
+                .with("pairs", p.pairs)
+                .with("aggregate_mbs", fixed(p.aggregate_mbs, 2))
+                .with("fairness", fixed(p.fairness, 4))
+                .with("p50_us", fixed(p.p50_us, 2))
+                .with("p99_us", fixed(p.p99_us, 2))
+                .with("hops", p.hops)
+        })
+        .collect();
+    let incast_points: Vec<Json> = incasts
+        .iter()
+        .map(|p| {
+            Json::obj()
+                .with("k", p.k)
+                .with("peak_outstanding", p.peak_outstanding)
+                .with("rejected", p.rejected)
+                .with("total_mbs", fixed(p.total_mbs, 2))
+                .with("fairness", fixed(p.fairness, 4))
+        })
+        .collect();
+    let doc = Json::obj()
+        .with("bench", "scaling_gate")
+        .with("smoke", smoke)
+        .with("msg_bytes", LIVE_MSG_BYTES)
+        .with("msgs_per_pair", pair_count)
+        .with("reps", reps)
+        .with("points", points)
+        .with(
+            "incast",
+            Json::obj()
+                .with("window", window)
+                .with("msgs_per_sender", incast_msgs)
+                .with("points", incast_points),
+        )
+        .with(
+            "trunks",
+            Json::obj()
+                .with("flows", TRUNK_FLOWS)
+                .with("msgs_per_flow", trunk_msgs)
+                .with("rounds_width1", rounds_w1)
+                .with("rounds_width4", rounds_w4)
+                .with("speedup", fixed(trunk_speedup, 2)),
         );
-    }
-    let _ = write!(
-        json,
-        concat!(
-            "  ],\n",
-            "  \"incast\": {{\n",
-            "    \"window\": {window},\n",
-            "    \"msgs_per_sender\": {msgs},\n",
-            "    \"points\": [\n"
-        ),
-        window = window,
-        msgs = incast_msgs,
-    );
-    for (i, p) in incasts.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      {{\"k\": {}, \"peak_outstanding\": {}, \"rejected\": {}, \
-             \"total_mbs\": {:.2}, \"fairness\": {:.4}}}{}",
-            p.k,
-            p.peak_outstanding,
-            p.rejected,
-            p.total_mbs,
-            p.fairness,
-            if i + 1 < incasts.len() { "," } else { "" },
-        );
-    }
-    let _ = write!(
-        json,
-        concat!(
-            "    ]\n",
-            "  }},\n",
-            "  \"trunks\": {{\n",
-            "    \"flows\": {flows},\n",
-            "    \"msgs_per_flow\": {msgs},\n",
-            "    \"rounds_width1\": {w1},\n",
-            "    \"rounds_width4\": {w4},\n",
-            "    \"speedup\": {speedup:.2}\n",
-            "  }},\n",
-            "  \"gate\": {{\n",
-            "    \"monotone_2_64\": {monotone},\n",
-            "    \"reject_bounded\": {bounded},\n",
-            "    \"reject_constant\": {constant},\n",
-            "    \"fairness_k15\": {fairness},\n",
-            "    \"trunk_speedup\": {trunk},\n",
-            "    \"enforced_gates\": [{names}]\n",
-            "  }}\n",
-            "}}\n"
-        ),
-        flows = TRUNK_FLOWS,
-        msgs = trunk_msgs,
-        w1 = rounds_w1,
-        w4 = rounds_w4,
-        speedup = trunk_speedup,
-        monotone = monotone_2_64,
-        bounded = reject_bounded,
-        constant = reject_constant,
-        fairness = fairness_ok,
-        trunk = trunk_ok,
-        names = enforced_gates
-            .iter()
-            .map(|(name, _)| format!("\"{name}\""))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    std::fs::write(&out, &json).unwrap_or_else(|e| {
-        eprintln!("bench_scaling: cannot write {out}: {e}");
-        std::process::exit(1);
-    });
-    println!("{json}");
-
-    let mut failed = false;
-    for &(name, ok) in &enforced_gates {
-        if !ok {
-            failed = true;
-            match name {
-                "monotone_2_64" => eprintln!(
-                    "GATE FAIL: aggregate bandwidth not non-decreasing 2->64 \
-                     (allowance {MONOTONE_ALLOWANCE}): {aggregate:?}"
-                ),
-                "reject_bounded" => eprintln!(
-                    "GATE FAIL: reject-queue peak exceeded window {window}: {peaks:?}"
-                ),
-                "reject_constant" => eprintln!(
-                    "GATE FAIL: reject-queue peak varies with K (spread {spread} > {}): {peaks:?}",
-                    window / 4
-                ),
-                "fairness_k15" => eprintln!(
-                    "GATE FAIL: incast fairness {fairness_k15:.4} < {FAIRNESS_FLOOR} at K=15"
-                ),
-                "trunk_speedup" => eprintln!(
-                    "GATE FAIL: 4-trunk speedup {trunk_speedup:.2} < {TRUNK_SPEEDUP_FLOOR} \
-                     ({rounds_w1} vs {rounds_w4} rounds)"
-                ),
-                _ => eprintln!("GATE FAIL: {name}"),
-            }
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    eprintln!("bench_scaling: all enforced gates PASS");
+    let want: &[u64] = if smoke {
+        &[2, 4, 8]
+    } else {
+        &[2, 4, 8, 16, 32, 64]
+    };
+    gates.push(sizes_gate(&doc, "points", want));
+    std::process::exit(run.finish(doc, gates));
 }

@@ -16,7 +16,8 @@
 //! digests.
 //!
 //! Gates (all deterministic, enforced in both modes — protocol
-//! properties, not timing measurements):
+//! properties, not timing measurements; `fm_bench::report` writes them as
+//! the `gates` list):
 //!
 //! * `exactly_once`      — every message delivered fresh exactly once at
 //!   every size and load shape (duplicate transmissions happen under
@@ -40,22 +41,21 @@
 //! * `churn`             — dead peers detected within the retry budget,
 //!   per-peer state bounded after leave (the per-epoch exactly-once
 //!   identity is asserted inside the scenario itself);
-//! * `deterministic`     — same seed, same digests, run twice.
+//! * `deterministic`     — same seed, same digests, run twice;
+//! * `cost_model_frozen`, `config_frozen`, `size_keys` — against the
+//!   baseline (the committed full campaign): the calibration and config
+//!   sections are unchanged and every size entry carries the same keys.
 //!
 //! `--smoke` caps the ladder at 8192 endpoints for CI; the full ladder
 //! tops out at 1,024,000 (Clos k=160).
 
+use fm_bench::report::{fixed, sizes_gate, Gate, Json, Run};
 use fm_sim::{
     churn, collective, incast, overload, uniform, ChurnReport, CollectiveReport, LoadReport,
     SimConfig, TABLES_MAX_HOSTS,
 };
-use std::fmt::Write as _;
+use std::collections::BTreeSet;
 use std::time::Instant;
-
-fn usage() -> ! {
-    eprintln!("usage: bench_sim [--smoke] [--out PATH] [--ladder N,N,...]");
-    std::process::exit(2);
-}
 
 const SEED: u64 = 42;
 const FAIRNESS_FLOOR: f64 = 0.8;
@@ -186,85 +186,71 @@ fn run_size(requested: u64, config: SimConfig) -> SizeRun {
     }
 }
 
-fn load_json(r: &LoadReport, indent: &str) -> String {
-    format!(
-        "{{\n{i}  \"flows\": {}, \"msgs\": {}, \"delivered\": {}, \"dups\": {}, \"rejected\": {},\n\
-         {i}  \"dead_detections\": {}, \"sim_ns\": {}, \"mbs\": {:.2}, \"fairness\": {:.4},\n\
-         {i}  \"p50_ns\": {}, \"p99_ns\": {}, \"events\": {},\n\
-         {i}  \"peak_outstanding\": {}, \"peak_ring\": {}, \"peak_pull\": {}, \"switch_port_entries\": {},\n\
-         {i}  \"digest\": \"{:016x}\"\n{i}}}",
-        r.flows,
-        r.msgs,
-        r.delivered,
-        r.dups,
-        r.rejected,
-        r.dead_detections,
-        r.sim_ns,
-        r.mbs,
-        r.fairness,
-        r.p50_ns,
-        r.p99_ns,
-        r.events,
-        r.peaks.outstanding,
-        r.peaks.ring,
-        r.peaks.pull,
-        r.peaks.switch_port_entries,
-        r.digest,
-        i = indent,
-    )
+fn digest(d: u64) -> Json {
+    Json::Str(format!("{d:016x}"))
 }
 
-fn churn_json(r: &ChurnReport, indent: &str) -> String {
-    format!(
-        "{{\n{i}  \"participants\": {}, \"epochs\": {}, \"enqueued\": {}, \"delivered\": {}, \"dups\": {},\n\
-         {i}  \"failed_sends\": {}, \"abandoned\": {}, \"dead_detections\": {}, \"max_detect_miss\": {},\n\
-         {i}  \"max_peer_state\": {}, \"sim_ns\": {}, \"events\": {}, \"digest\": \"{:016x}\"\n{i}}}",
-        r.participants,
-        r.epochs,
-        r.enqueued,
-        r.delivered,
-        r.dups,
-        r.failed_sends,
-        r.abandoned,
-        r.dead_detections,
-        r.max_detect_miss,
-        r.max_peer_state,
-        r.sim_ns,
-        r.events,
-        r.digest,
-        i = indent,
-    )
+fn load_json(r: &LoadReport) -> Json {
+    Json::obj()
+        .with("flows", r.flows)
+        .with("msgs", r.msgs)
+        .with("delivered", r.delivered)
+        .with("dups", r.dups)
+        .with("rejected", r.rejected)
+        .with("dead_detections", r.dead_detections)
+        .with("sim_ns", r.sim_ns)
+        .with("mbs", fixed(r.mbs, 2))
+        .with("fairness", fixed(r.fairness, 4))
+        .with("p50_ns", r.p50_ns)
+        .with("p99_ns", r.p99_ns)
+        .with("events", r.events)
+        .with("peak_outstanding", r.peaks.outstanding)
+        .with("peak_ring", r.peaks.ring)
+        .with("peak_pull", r.peaks.pull)
+        .with("switch_port_entries", r.peaks.switch_port_entries)
+        .with("digest", digest(r.digest))
 }
 
-fn collective_json(r: &CollectiveReport, indent: &str) -> String {
-    format!(
-        "{{\n{i}  \"depth\": {}, \"expected_depth\": {}, \"delivered\": {}, \"span_ns\": {},\n\
-         {i}  \"events\": {}, \"digest\": \"{:016x}\"\n{i}}}",
-        r.depth, r.expected_depth, r.delivered, r.span_ns, r.events, r.digest,
-        i = indent,
-    )
+fn churn_json(r: &ChurnReport) -> Json {
+    Json::obj()
+        .with("participants", r.participants)
+        .with("epochs", r.epochs)
+        .with("enqueued", r.enqueued)
+        .with("delivered", r.delivered)
+        .with("dups", r.dups)
+        .with("failed_sends", r.failed_sends)
+        .with("abandoned", r.abandoned)
+        .with("dead_detections", r.dead_detections)
+        .with("max_detect_miss", r.max_detect_miss)
+        .with("max_peer_state", r.max_peer_state)
+        .with("sim_ns", r.sim_ns)
+        .with("events", r.events)
+        .with("digest", digest(r.digest))
+}
+
+fn collective_json(r: &CollectiveReport) -> Json {
+    Json::obj()
+        .with("depth", r.depth)
+        .with("expected_depth", r.expected_depth)
+        .with("delivered", r.delivered)
+        .with("span_ns", r.span_ns)
+        .with("events", r.events)
+        .with("digest", digest(r.digest))
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut smoke = false;
-    let mut out = String::from("BENCH_sim.json");
-    let mut custom: Option<Vec<u64>> = None;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = args.next().unwrap_or_else(|| usage()),
-            "--ladder" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                custom = Some(
-                    spec.split(',')
-                        .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
-                        .collect(),
-                );
-            }
-            _ => usage(),
-        }
-    }
+    let run = Run::from_args("bench_sim", "BENCH_sim.json", &["--ladder"]);
+    let smoke = run.smoke;
+    let custom: Option<Vec<u64>> = run.flag("--ladder").map(|spec| {
+        spec.split(',')
+            .map(|s| {
+                s.trim().parse().unwrap_or_else(|_| {
+                    eprintln!("bench_sim: --ladder wants N,N,... (got `{spec}`)");
+                    std::process::exit(2);
+                })
+            })
+            .collect()
+    });
 
     let config = SimConfig::default();
     config.check();
@@ -380,129 +366,100 @@ fn main() {
             && r.churn.max_peer_state <= 4
     });
 
-    let enforced: Vec<(&str, bool)> = vec![
-        ("exactly_once", exactly_once),
-        ("dup_noise", dup_noise),
-        ("window_bounded", window_bounded),
-        ("ring_bounded", ring_bounded),
-        ("pull_bounded", pull_bounded),
-        ("switch_state", switch_state),
-        ("routing_state", routing_state),
-        ("fairness", fairness),
-        ("collective_depth", collective_depth),
-        ("churn", churn_ok),
-        ("deterministic", deterministic),
-    ];
-
-    // ----------------------------------------------------------------- json
     let cost = config.cost;
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        concat!(
-            "{{\n",
-            "  \"mode\": \"{mode}\",\n",
-            "  \"seed\": {seed},\n",
-            "  \"cost_model\": {{\n",
-            "    \"host_frame_ps\": {hf}, \"shard_frame_ps\": {sf}, \"link_hop_ps\": {lh},\n",
-            "    \"ack_reverse_ps\": {ar}, \"bounce_reverse_ps\": {br},\n",
-            "    \"rto_initial_ps\": {ri}, \"rto_max_ps\": {rm}\n",
-            "  }},\n",
-            "  \"config\": {{\n",
-            "    \"window\": {w}, \"recv_ring\": {rr}, \"drr_batch\": {db},\n",
-            "    \"retry_budget\": {rb}, \"msg_bytes\": {mb}\n",
-            "  }},\n",
-            "  \"sizes\": [\n"
-        ),
-        mode = if smoke { "smoke" } else { "full" },
-        seed = SEED,
-        hf = cost.host_frame_ps,
-        sf = cost.shard_frame_ps,
-        lh = cost.link_hop_ps,
-        ar = cost.ack_reverse_ps,
-        br = cost.bounce_reverse_ps,
-        ri = cost.rto_initial_ps,
-        rm = cost.rto_max_ps,
-        w = config.window,
-        rr = config.recv_ring,
-        db = config.drr_batch,
-        rb = config.retry_budget,
-        mb = config.msg_bytes,
-    );
-    for (i, r) in runs.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\n      \"requested\": {}, \"n\": {}, \"fabric\": \"{}\",\n      \
-             \"switches\": {}, \"ports\": {}, \"routing_bytes\": {},\n      \
-             \"incast_k\": {},\n      \"incast\": {},\n      \
-             \"uniform_count\": {},\n      \"uniform\": {},\n      \
-             \"collective\": {},\n      \"churn\": {}\n    }}{}",
-            r.requested,
-            r.n,
-            r.fabric,
-            r.switches,
-            r.ports,
-            r.routing_bytes,
-            r.incast_k,
-            load_json(&r.incast, "      "),
-            r.uniform_count,
-            load_json(&r.uniform, "      "),
-            collective_json(&r.collective, "      "),
-            churn_json(&r.churn, "      "),
-            if i + 1 < runs.len() { "," } else { "" },
-        );
-    }
-    let _ = writeln!(
-        json,
-        "  ],\n  \"overload\": {},",
-        load_json(&over, "  ")
-    );
-    let _ = write!(
-        json,
-        concat!(
-            "  \"determinism\": {{\n",
-            "    \"n\": {n},\n",
-            "    \"incast_digest\": \"{i1:016x}\", \"incast_digest_rerun\": \"{i2:016x}\",\n",
-            "    \"churn_digest\": \"{c1:016x}\", \"churn_digest_rerun\": \"{c2:016x}\",\n",
-            "    \"bit_identical\": {same}\n",
-            "  }},\n",
-            "  \"gate\": {{\n"
-        ),
-        n = top.n,
-        i1 = top.incast.digest,
-        i2 = inc2.digest,
-        c1 = top.churn.digest,
-        c2 = ch2.digest,
-        same = deterministic,
-    );
-    for (name, ok) in &enforced {
-        let _ = writeln!(json, "    \"{name}\": {ok},");
-    }
-    let _ = write!(
-        json,
-        "    \"enforced_gates\": [{}]\n  }}\n}}\n",
-        enforced
-            .iter()
-            .map(|(name, _)| format!("\"{name}\""))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
+    let cost_model = Json::obj()
+        .with("host_frame_ps", cost.host_frame_ps)
+        .with("shard_frame_ps", cost.shard_frame_ps)
+        .with("link_hop_ps", cost.link_hop_ps)
+        .with("ack_reverse_ps", cost.ack_reverse_ps)
+        .with("bounce_reverse_ps", cost.bounce_reverse_ps)
+        .with("rto_initial_ps", cost.rto_initial_ps)
+        .with("rto_max_ps", cost.rto_max_ps);
+    let config_json = Json::obj()
+        .with("window", config.window)
+        .with("recv_ring", config.recv_ring)
+        .with("drr_batch", config.drr_batch)
+        .with("retry_budget", config.retry_budget)
+        .with("msg_bytes", config.msg_bytes);
+    let sizes: Vec<Json> = runs
+        .iter()
+        .map(|r| {
+            Json::obj()
+                .with("requested", r.requested)
+                .with("n", r.n)
+                .with("fabric", r.fabric.as_str())
+                .with("switches", r.switches)
+                .with("ports", r.ports)
+                .with("routing_bytes", r.routing_bytes)
+                .with("incast_k", r.incast_k)
+                .with("incast", load_json(&r.incast))
+                .with("uniform_count", r.uniform_count)
+                .with("uniform", load_json(&r.uniform))
+                .with("collective", collective_json(&r.collective))
+                .with("churn", churn_json(&r.churn))
+        })
+        .collect();
 
-    std::fs::write(&out, &json).unwrap_or_else(|e| {
-        eprintln!("bench_sim: cannot write {out}: {e}");
-        std::process::exit(1);
-    });
-    println!("{json}");
-
-    let mut failed = false;
-    for &(name, ok) in &enforced {
-        if !ok {
-            eprintln!("bench_sim: GATE FAILED: {name}");
-            failed = true;
+    let mut gates = vec![
+        Gate::holds("exactly_once", exactly_once),
+        Gate::holds("dup_noise", dup_noise),
+        Gate::holds("window_bounded", window_bounded),
+        Gate::holds("ring_bounded", ring_bounded),
+        Gate::holds("pull_bounded", pull_bounded),
+        Gate::holds("switch_state", switch_state),
+        Gate::holds("routing_state", routing_state),
+        Gate::holds("fairness", fairness),
+        Gate::holds("collective_depth", collective_depth),
+        Gate::holds("churn", churn_ok),
+        Gate::holds("deterministic", deterministic),
+    ];
+    // The frozen calibration and the per-size document shape must match
+    // the committed full campaign.
+    if let Some(base) = run.baseline() {
+        gates.push(Gate::holds(
+            "cost_model_frozen",
+            base.get("cost_model") == Some(&cost_model),
+        ));
+        gates.push(Gate::holds(
+            "config_frozen",
+            base.get("config") == Some(&config_json),
+        ));
+        let want = base.get("sizes").and_then(|s| s.items().first());
+        type KeySets<'a> = (BTreeSet<&'a str>, Option<BTreeSet<&'a str>>);
+        fn key_sets(s: &Json) -> KeySets<'_> {
+            (s.keys(), s.get("uniform").map(Json::keys))
         }
+        let odd = sizes
+            .iter()
+            .filter(|s| want.map(key_sets) != Some(key_sets(s)))
+            .count();
+        gates.push(Gate::at_most("size_keys", odd as f64, 0.0));
     }
-    if failed {
-        std::process::exit(1);
-    }
-    eprintln!("bench_sim: all gates green -> {out}");
+
+    let doc = Json::obj()
+        .with("mode", if smoke { "smoke" } else { "full" })
+        .with("seed", SEED)
+        .with("cost_model", cost_model)
+        .with("config", config_json)
+        .with("sizes", sizes)
+        .with("overload", load_json(&over))
+        .with(
+            "determinism",
+            Json::obj()
+                .with("n", top.n)
+                .with("incast_digest", digest(top.incast.digest))
+                .with("incast_digest_rerun", digest(inc2.digest))
+                .with("churn_digest", digest(top.churn.digest))
+                .with("churn_digest_rerun", digest(ch2.digest))
+                .with("bit_identical", deterministic),
+        );
+    // The sizes the default ladders produce; a `--ladder` run fails this
+    // gate, so its document never passes for a committed campaign.
+    let want: &[u64] = if smoke {
+        &[64, 1_024, 8_192]
+    } else {
+        &[64, 1_024, 11_664, 101_306, 1_024_000]
+    };
+    gates.push(sizes_gate(&doc, "sizes", want));
+    std::process::exit(run.finish(doc, gates));
 }

@@ -1,7 +1,7 @@
 //! Telemetry overhead probe: runs the shared ring ping-pong
 //! ([`fm_bench::pingpong`]) and writes a small JSON result.
 //!
-//! `scripts/bench_gate` builds and runs this binary twice — once normally
+//! `scripts/bench gate` builds and runs this binary twice — once normally
 //! and once with `--features telemetry-off` (into a separate target dir)
 //! — then hands both result files to `bench_gate --telemetry-on/--off`,
 //! which computes the instrumentation overhead and holds it to the <10%
@@ -14,6 +14,7 @@
 //! zero; only throughput and latency matter.
 
 use fm_bench::pingpong::pingpong;
+use fm_bench::report::{fixed, Json};
 use fm_core::mem::FabricKind;
 use fm_core::EndpointConfig;
 
@@ -93,29 +94,17 @@ fn main() {
         .max_by(|a, b| a.msgs_per_sec.total_cmp(&b.msgs_per_sec))
         .expect("REPS >= 1");
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"telemetry_probe\",\n",
-            "  \"telemetry_enabled\": {enabled},\n",
-            "  \"smoke\": {smoke},\n",
-            "  \"rounds\": {rounds},\n",
-            "  \"trace_one_in\": {rate},\n",
-            "  \"beacon_us\": {beacon},\n",
-            "  \"msgs_per_sec\": {mps:.0},\n",
-            "  \"p50_frame_ns\": {p50},\n",
-            "  \"p99_frame_ns\": {p99}\n",
-            "}}\n",
-        ),
-        enabled = enabled,
-        smoke = smoke,
-        rounds = rounds,
-        rate = trace_one_in,
-        beacon = beacon_us,
-        mps = pp.msgs_per_sec,
-        p50 = pp.p50_ns,
-        p99 = pp.p99_ns,
-    );
+    let json = Json::obj()
+        .with("bench", "telemetry_probe")
+        .with("telemetry_enabled", enabled)
+        .with("smoke", smoke)
+        .with("rounds", rounds)
+        .with("trace_one_in", trace_one_in)
+        .with("beacon_us", beacon_us)
+        .with("msgs_per_sec", fixed(pp.msgs_per_sec, 0))
+        .with("p50_frame_ns", pp.p50_ns)
+        .with("p99_frame_ns", pp.p99_ns)
+        .render();
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     println!(
         "telemetry {}: {:.3e} msg/s (p50 {} ns, p99 {} ns) -> {out_path}",

@@ -15,10 +15,14 @@
 //! ```
 //!
 //! Writes `PREFIX.trace.json` (open at <https://ui.perfetto.dev>),
-//! `PREFIX.prom` and `PREFIX.csv`. Exits nonzero if the merged timeline
-//! contains no cross-endpoint flow pair while telemetry is enabled — the
-//! CI gate for the tracing pipeline.
+//! `PREFIX.prom` and `PREFIX.csv`, then reads them back and gates them
+//! (`fm_bench::report`, telemetry-enabled builds only): the trace holds
+//! events, one lane per endpoint, at least one cross-endpoint flow pair
+//! and no receive before its clock-aligned send; the scrapes carry their
+//! headers. Exits nonzero if a gate fails — the CI gate for the tracing
+//! pipeline.
 
+use fm_bench::report::{gate_table, trace_file_gates};
 use fm_core::mem::{FabricKind, MemCluster};
 use fm_core::{EndpointConfig, FaultConfig, HandlerId, NodeId};
 use fm_telemetry::MetricsAggregator;
@@ -160,12 +164,12 @@ fn main() {
     );
     println!("wrote {trace_path}, {prom_path}, {csv_path}");
 
-    if fm_telemetry::ENABLED && report.flow_pairs() == 0 {
-        eprintln!("trace_merge: FAIL — no cross-endpoint flow pair in the merged trace");
-        std::process::exit(1);
-    }
     if !fm_telemetry::ENABLED {
         println!("telemetry-off build: empty trace is expected; pipeline exercised only");
+        return;
+    }
+    if !gate_table("trace_merge", &trace_file_gates(&prefix, NODES), smoke) {
+        std::process::exit(1);
     }
 }
 

@@ -16,16 +16,18 @@
 //!                                  [--trace-one-in N] [--n HOSTS]
 //! ```
 //!
-//! Writes `PREFIX.trace.json`, `PREFIX.prom` and `PREFIX.csv`. Exits
-//! nonzero if the merged timeline contains no cross-endpoint flow pair
-//! while telemetry is enabled — the same pipeline gate as `trace_merge`,
-//! now pointed at the switched runtime.
+//! Writes `PREFIX.trace.json`, `PREFIX.prom` and `PREFIX.csv`, then reads
+//! them back and gates them (`fm_bench::report`, telemetry-enabled builds
+//! only) exactly as `trace_merge` does — events, one lane per endpoint, a
+//! cross-endpoint flow pair, scrape headers — now pointed at the switched
+//! runtime. Exits nonzero if a gate fails.
 //!
 //! Switch shards are first-class in every output: the drive loop samples
 //! each shard periodically, so the Prometheus/CSV scrape carries per-shard
 //! queue-depth, deficit and per-port forwarding series, and the chrome
 //! trace gains counter lanes per shard alongside the span flows.
 
+use fm_bench::report::{gate_table, trace_file_gates};
 use fm_core::{EndpointConfig, HandlerId, NodeId, SwitchTopology, SwitchedCluster};
 use fm_telemetry::MetricsAggregator;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -181,12 +183,12 @@ fn main() {
     );
     println!("wrote {trace_path}, {prom_path}, {csv_path}");
 
-    if fm_telemetry::ENABLED && report.flow_pairs() == 0 {
-        eprintln!("trace_scaling: FAIL — no cross-endpoint flow pair in the merged trace");
-        std::process::exit(1);
-    }
     if !fm_telemetry::ENABLED {
         println!("telemetry-off build: empty trace is expected; pipeline exercised only");
+        return;
+    }
+    if !gate_table("trace_scaling", &trace_file_gates(&prefix, n), smoke) {
+        std::process::exit(1);
     }
 }
 

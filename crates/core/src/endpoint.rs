@@ -25,7 +25,8 @@ use crate::flow::{ack_word_parts, AckTracker, RetransmitConfig, SenderFlow, SeqC
 use crate::frame::{FrameKind, TraceCtx, WireFrame, FM_FRAME_PAYLOAD};
 use crate::handler::{Handler, HandlerId, HandlerRegistry, Outbox};
 use crate::queues::PacketRing;
-use crate::time::{derive_jitter_seed, splitmix64, RttEstimator, TimeSource};
+use crate::time::{derive_jitter_seed, RttEstimator, TimeSource};
+use fm_des::rng::splitmix64;
 use fm_telemetry::{Counter, EventKind, Metric, Telemetry};
 
 /// Non-blocking send failure.

@@ -207,14 +207,6 @@ pub fn flip_bit(bytes: &mut [u8], bit: u32) {
     bytes[b / 8] ^= 1 << (b % 8);
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Small xorshift64 PRNG (one per link; seeded via SplitMix64 so nearby
 /// link ids do not correlate).
 #[derive(Debug, Clone)]
@@ -222,9 +214,7 @@ struct Rng(u64);
 
 impl Rng {
     fn new(seed: u64) -> Self {
-        let mut s = seed;
-        let x = splitmix64(&mut s);
-        Rng(x | 1) // xorshift state must be non-zero
+        Rng(fm_des::rng::splitmix64(seed) | 1) // xorshift state must be non-zero
     }
 
     fn next_u64(&mut self) -> u64 {

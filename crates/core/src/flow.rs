@@ -34,7 +34,7 @@
 use crate::frame::{PiggyAcks, PIGGY_MAX};
 use crate::queues::{RejectQueue, REJECT_SLOT_LIMIT};
 use fm_myrinet::NodeId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// How many accepted-but-unacknowledged frames trigger a standalone ack
 /// frame when no reverse traffic is available to piggyback on. One full
@@ -382,14 +382,15 @@ pub enum SeqClass {
 ///
 /// `next` summarizes everything already released (all seqs strictly before
 /// it), so duplicate suppression needs no bitmap; frames ahead of `next`
-/// are parked in a map keyed by sequence number until the gap fills.
+/// are parked in a `BTreeMap` keyed by sequence number until the gap fills
+/// (ordered, so no per-process hash seed makes two runs differ).
 /// Comparisons use wrapping u32 arithmetic, so the window is correct across
 /// sequence-number wraparound.
 #[derive(Debug, Clone)]
 pub struct SeqWindow<T> {
     next: u32,
     lookahead: u32,
-    buffered: HashMap<u32, T>,
+    buffered: BTreeMap<u32, T>,
     /// Statistics (read via the accessor methods below).
     duplicates: u64,
     too_far: u64,
@@ -410,7 +411,7 @@ impl<T> SeqWindow<T> {
         SeqWindow {
             next: 0,
             lookahead,
-            buffered: HashMap::new(),
+            buffered: BTreeMap::new(),
             duplicates: 0,
             too_far: 0,
             buffered_high_water: 0,

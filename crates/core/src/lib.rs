@@ -80,7 +80,7 @@ pub use flow::{
 };
 pub use frame::{
     crc32, CodecError, FrameKind, TraceCtx, WireFrame, FM_CRC_BYTES, FM_FRAME_MAX,
-    FM_FRAME_PAYLOAD, FM_HEADER_BYTES, FM_HEADER_BYTES_V0, FM_WIRE_VERSION,
+    FM_FRAME_PAYLOAD, FM_HEADER_BYTES, FM_WIRE_VERSION,
 };
 pub use handler::{Handler, HandlerId, HandlerRegistry, Outbox};
 pub use mem::{ClusterRunner, FabricKind, MemCluster, MemEndpoint, ShutdownError};

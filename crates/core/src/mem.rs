@@ -12,7 +12,7 @@
 //! [`MemCluster::with_fabric`] can instead wire the cluster over the
 //! historical crossbeam-channel transport ([`FabricKind::Channel`]), where
 //! every frame is boxed and crosses a mutex-protected queue. It exists as
-//! the baseline `benches/mem_fabric.rs` and `scripts/bench_gate` measure
+//! the baseline `benches/mem_fabric.rs` and `scripts/bench gate` measure
 //! the ring against.
 //!
 //! Each endpoint is single-threaded by construction (FM 1.0 predates the

@@ -14,6 +14,7 @@
 //! (retransmitted slots never contribute samples, because their ack is
 //! ambiguous between transmissions).
 
+use fm_des::rng::splitmix64;
 use std::time::Instant;
 
 /// What one unit of the endpoint's `now` clock means.
@@ -127,16 +128,6 @@ impl MicroClock {
     pub fn micros(&self) -> u64 {
         self.origin.elapsed().as_micros() as u64
     }
-}
-
-/// One round of splitmix64 — the mixer behind the seed derivations here
-/// and the trace-id minting in `endpoint.rs`.
-#[inline]
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Derive the retransmit-jitter PRNG seed for one endpoint from the run

@@ -26,3 +26,32 @@ pub use table::Table;
 
 /// The paper's megabyte: 2^20 bytes.
 pub const MB: f64 = (1u64 << 20) as f64;
+
+/// Jain's fairness index `(Σx)² / (n·Σx²)` over per-flow shares: 1.0 when
+/// every share is equal, `1/n` when one share has everything, and 1.0 for
+/// empty or all-zero input (nothing to be unfair about). The one formula
+/// behind the simulator's, the live harness's and the collector's
+/// fairness numbers.
+pub fn jain(xs: &[f64]) -> f64 {
+    let sq: f64 = xs.iter().map(|x| x * x).sum();
+    if sq == 0.0 {
+        return 1.0;
+    }
+    let sum: f64 = xs.iter().sum();
+    sum * sum / (xs.len() as f64 * sq)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::jain;
+
+    #[test]
+    fn jain_index_bounds() {
+        assert_eq!(jain(&[]), 1.0);
+        assert_eq!(jain(&[0.0, 0.0, 0.0]), 1.0);
+        assert_eq!(jain(&[5.0]), 1.0);
+        assert!((jain(&[1.0, 1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
+        // One flow hogging: the index falls to 1/n.
+        assert!((jain(&[1000.0, 0.0, 0.0, 0.0]) - 0.25).abs() < 1e-12);
+    }
+}

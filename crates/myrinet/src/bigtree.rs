@@ -145,10 +145,7 @@ impl ClosTopology {
     /// Deterministic per-flow hash over wide host ids (the u16-packing of
     /// [`SwitchTopology::flow_hash`] would alias at campaign scale).
     pub fn flow_hash(src: u64, dst: u64) -> u64 {
-        let mut z = (src.rotate_left(32) ^ dst).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        fm_des::rng::splitmix64(src.rotate_left(32) ^ dst)
     }
 
     /// The switch-id sequence a flow's frames traverse, appended to `out`

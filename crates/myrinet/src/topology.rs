@@ -302,10 +302,7 @@ impl SwitchTopology {
     /// choice — and therefore the path — is stable for the flow's
     /// lifetime.
     pub fn flow_hash(src: NodeId, dst: NodeId) -> u64 {
-        let mut z = ((src.0 as u64) << 16 | dst.0 as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        fm_des::rng::splitmix64((src.0 as u64) << 16 | dst.0 as u64)
     }
 
     /// Fold a flow hash down to one of `nchoices` equal-cost candidates

@@ -384,12 +384,7 @@ impl SimCluster {
     /// Order-independent digest of everything observable — two runs with
     /// the same seed must produce the same value bit for bit.
     pub fn digest(&self) -> u64 {
-        fn mix(h: u64, v: u64) -> u64 {
-            let mut z = (h ^ v).wrapping_add(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
+        let mix = |h: u64, v: u64| fm_des::rng::splitmix64(h ^ v);
         let t = self.totals();
         let p = self.peaks();
         let mut d = 0u64;

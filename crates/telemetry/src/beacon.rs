@@ -56,23 +56,33 @@ pub const MAX_BEACON_BYTES: usize = 8192;
 /// Default cap on trace events shipped per beacon.
 pub const DEFAULT_BEACON_EVENTS: usize = 96;
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `data` — the same
-/// polynomial the FM frame codec uses, reimplemented here because the
-/// dependency arrow points the other way (`fm-core` depends on this
-/// crate). Nibble-table driven: 64 bytes of table, no per-call setup.
+/// CRC-32 (IEEE 802.3 polynomial, reflected 0xEDB88320), table-driven.
+/// The one implementation in the workspace: beacons frame with it here,
+/// and `fm-core` re-exports it as the wire-frame trailer checksum.
+#[inline]
 pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 16] = [
-        0x0000_0000, 0x1DB7_1064, 0x3B6E_20C8, 0x26D9_30AC,
-        0x76DC_4190, 0x6B6B_51F4, 0x4DB2_6158, 0x5005_713C,
-        0xEDB8_8320, 0xF00F_9344, 0xD6D6_A3E8, 0xCB61_B38C,
-        0x9B64_C2B0, 0x86D3_D2D4, 0xA00A_E278, 0xBDBD_F21C,
-    ];
-    let mut crc = !0u32;
+    const TABLE: [u32; 256] = crc32_table();
+    let mut c = !0u32;
     for &b in data {
-        crc = (crc >> 4) ^ TABLE[((crc ^ b as u32) & 0xF) as usize];
-        crc = (crc >> 4) ^ TABLE[((crc ^ (b as u32 >> 4)) & 0xF) as usize];
+        c = (c >> 8) ^ TABLE[((c ^ b as u32) & 0xFF) as usize];
     }
-    !crc
+    !c
+}
+
+const fn crc32_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
 }
 
 /// Who sent a beacon.
@@ -783,7 +793,7 @@ mod tests {
 
     #[test]
     fn crc32_matches_known_vector() {
-        // The classic IEEE 802.3 check value.
+        // The IEEE CRC32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
     }

@@ -129,19 +129,6 @@ pub struct CollectorStats {
     pub seq_gaps: u64,
 }
 
-/// Jain's fairness index over a share vector: `(Σx)² / (n·Σx²)`.
-/// 1.0 when all shares are equal, `1/n` when one share has everything.
-/// Returns 1.0 for empty/all-zero input (nothing to be unfair about).
-pub fn jain_fairness(shares: &[u64]) -> f64 {
-    let n = shares.len();
-    let sum: u128 = shares.iter().map(|&x| x as u128).sum();
-    if n == 0 || sum == 0 {
-        return 1.0;
-    }
-    let sum_sq: u128 = shares.iter().map(|&x| (x as u128) * (x as u128)).sum();
-    (sum as f64) * (sum as f64) / (n as f64 * sum_sq as f64)
-}
-
 /// Per-endpoint ingest state.
 struct EndpointState {
     /// Latest cumulative counters (padded/truncated to `Counter::COUNT`).
@@ -450,13 +437,13 @@ impl Collector {
             // Fairness over the inputs that *could* have forwarded: every
             // input that has ever carried traffic on this shard. Idle-
             // since-boot ports (an unused trunk) don't count against it.
-            let ever_active: Vec<u64> = deltas
+            let ever_active: Vec<f64> = deltas
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| body.input_forwarded.get(*i).copied().unwrap_or(0) > 0)
-                .map(|(_, &d)| d)
+                .map(|(_, &d)| d as f64)
                 .collect();
-            let fairness = jain_fairness(&ever_active);
+            let fairness = fm_metrics::jain(&ever_active);
             st.fairness = fairness;
             let captured = frames >= cfg.fairness_min_frames
                 && active.max(ever_active.len()) >= cfg.fairness_min_active
@@ -880,15 +867,6 @@ mod tests {
                 output_forwarded: vec![forwarded],
             }),
         })
-    }
-
-    #[test]
-    fn jain_fairness_bounds() {
-        assert_eq!(jain_fairness(&[]), 1.0);
-        assert_eq!(jain_fairness(&[0, 0, 0]), 1.0);
-        assert!((jain_fairness(&[5, 5, 5, 5]) - 1.0).abs() < 1e-9);
-        let captured = jain_fairness(&[1000, 0, 0, 0]);
-        assert!((captured - 0.25).abs() < 1e-9, "1/n when one input has all");
     }
 
     #[test]

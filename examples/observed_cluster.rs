@@ -95,6 +95,11 @@ fn main() {
     let trace = t.chrome_trace();
     let events = t.events().len();
     std::fs::write("observed_trace.json", &trace).expect("write observed_trace.json");
+    let written = fm_bench::report::read_json("observed_trace.json").expect("trace reads back");
+    assert!(
+        fm_bench::report::trace_gates(&written, None).iter().all(|g| g.pass),
+        "observed_trace.json must contain events"
+    );
     println!(
         "wrote observed_trace.json ({events} events, {} recorded in total) — \
          open it at chrome://tracing",

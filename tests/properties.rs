@@ -31,11 +31,17 @@ proptest! {
         prop_assert_eq!(decoded, f);
     }
 
-    /// Decoding arbitrary bytes never panics — it returns Ok or a typed
-    /// error.
+    /// Decoding or peeking arbitrary bytes never panics — it returns Ok or
+    /// a typed error — and any first byte other than the current version
+    /// byte is rejected by both.
     #[test]
     fn codec_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
-        let _ = WireFrame::decode(&Bytes::from(bytes));
+        let decoded = WireFrame::decode_slice(&bytes);
+        let peeked = WireFrame::peek_flow(&bytes);
+        if bytes.first() != Some(&(0xF0 | fm_core::FM_WIRE_VERSION)) {
+            prop_assert!(decoded.is_err());
+            prop_assert!(peeked.is_none());
+        }
     }
 
     /// Truncating a valid encoding is always detected.
