@@ -279,8 +279,8 @@ pub struct EndpointCore {
     dead: Vec<bool>,
     /// Deaths not yet reported to the transport via `take_newly_dead`.
     newly_dead: Vec<NodeId>,
-    /// Scratch buffers for timer servicing (reused, never freed).
-    retx_scratch: Vec<WireFrame>,
+    /// Scratch buffer for frames that exhausted their retry budget
+    /// (reused, never freed).
     fail_scratch: Vec<WireFrame>,
     stats: EndpointStats,
     /// Unified runtime telemetry: lock-free counters, latency histograms
@@ -353,7 +353,6 @@ impl EndpointCore {
             ring_quota: config.recv_ring,
             dead: Vec::new(),
             newly_dead: Vec::new(),
-            retx_scratch: Vec::new(),
             fail_scratch: Vec::new(),
             stats: EndpointStats::default(),
             telemetry: Telemetry::with_trace_capacity(id.0, config.trace_capacity),
@@ -1118,40 +1117,51 @@ impl EndpointCore {
         if !self.sender.timer_due(self.now) {
             return;
         }
-        let mut retx = std::mem::take(&mut self.retx_scratch);
         let mut failed = std::mem::take(&mut self.fail_scratch);
-        self.sender.fire_timers(
-            self.now,
-            |_slot, frame| retx.push(frame.clone()),
-            |_slot, frame| failed.push(frame),
-        );
-        for mut frame in retx.drain(..) {
-            frame.piggy = self.acks.take_piggy(frame.dst);
-            self.stats.retransmitted += 1;
-            self.stats.timer_retransmits += 1;
-            self.telemetry.incr(Counter::Retransmits);
-            self.telemetry.incr(Counter::TimerRetransmits);
-            self.telemetry.trace(
-                self.now,
-                EventKind::Retransmit {
-                    peer: frame.dst.0,
-                    slot: frame.slot,
-                    timer: true,
-                },
-            );
-            if frame.trace.sampled {
-                self.telemetry.trace(
-                    self.now,
-                    EventKind::SpanRetransmit {
-                        trace: frame.trace.id,
-                        hop: frame.trace.hop,
+        // Each retransmission goes straight onto `outgoing`: the callback
+        // borrows only fields disjoint from `sender`, so no scratch buffer
+        // has to grow on the first timer retransmit after a stall.
+        let Self {
+            sender,
+            acks,
+            stats,
+            telemetry,
+            outgoing,
+            now,
+            ..
+        } = self;
+        let now = *now;
+        sender.fire_timers(
+            now,
+            |_slot, frame| {
+                let mut frame = frame.clone();
+                frame.piggy = acks.take_piggy(frame.dst);
+                stats.retransmitted += 1;
+                stats.timer_retransmits += 1;
+                telemetry.incr(Counter::Retransmits);
+                telemetry.incr(Counter::TimerRetransmits);
+                telemetry.trace(
+                    now,
+                    EventKind::Retransmit {
                         peer: frame.dst.0,
+                        slot: frame.slot,
+                        timer: true,
                     },
                 );
-            }
-            self.outgoing.push_back(frame);
-        }
-        self.retx_scratch = retx;
+                if frame.trace.sampled {
+                    telemetry.trace(
+                        now,
+                        EventKind::SpanRetransmit {
+                            trace: frame.trace.id,
+                            hop: frame.trace.hop,
+                            peer: frame.dst.0,
+                        },
+                    );
+                }
+                outgoing.push_back(frame);
+            },
+            |_slot, frame| failed.push(frame),
+        );
         for frame in failed.drain(..) {
             self.stats.unreachable_drops += 1; // the frame that gave up
             self.mark_dead(frame.dst);

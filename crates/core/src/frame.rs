@@ -742,4 +742,72 @@ mod tests {
         let mut tiny = [0u8; 8];
         sample().encode_into(&mut tiny);
     }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// Encodes `f` and checks it byte for byte against a frame image
+    /// recorded from an earlier build, then decodes the image back.
+    fn assert_golden(f: &WireFrame, hex: &str) {
+        let want = unhex(hex);
+        assert_eq!(&f.encode()[..], &want[..], "wire image changed");
+        assert_eq!(&WireFrame::decode_slice(&want).unwrap(), f);
+    }
+
+    // Golden wire images: a process built from any commit must accept
+    // frames from any other, so the layout and the CRC-32 trailer may not
+    // change without a new FM_WIRE_VERSION.
+
+    #[test]
+    fn golden_untraced_data_frame() {
+        let f = WireFrame::data(
+            NodeId(3),
+            NodeId(7),
+            HandlerId(42),
+            19,
+            0xDEAD_BEEF,
+            Bytes::from((0..16u8).collect::<Vec<u8>>()),
+        );
+        assert_golden(
+            &f,
+            "f1001000030007002a00130000000000efbeadde0000000000000000000000000001020304050607\
+             08090a0b0c0d0e0f084692ba",
+        );
+    }
+
+    #[test]
+    fn golden_traced_data_frame_with_acks() {
+        let payload: Vec<u8> = (0..128u32).map(|i| (i * 7 + 1) as u8).collect();
+        let mut f = WireFrame::data(
+            NodeId(0x0102),
+            NodeId(0x0304),
+            HandlerId(5),
+            63,
+            0x0001_0203,
+            Bytes::from(payload),
+        );
+        f.slot_gen = 9;
+        f.trace = TraceCtx::sampled(0xCAFE_F00D, 513);
+        f.piggy = PiggyAcks::from_slice(&[1, 2, 0x0300, 0xFFFF]);
+        assert_golden(
+            &f,
+            "f10080010201040305003f0004090102030201000df0feca010002000003ffff01080f161d242b32\
+             3940474e555c636a71787f868d949ba2a9b0b7bec5ccd3dae1e8eff6fd040b121920272e353c434a\
+             51585f666d747b828990979ea5acb3bac1c8cfd6dde4ebf2f900070e151c232a31383f464d545b62\
+             6970777e858c939aa1a8afb6bdc4cbd2d9e0e7eef5fc030a11181f262d343b424950575e656c737a\
+             69a14331",
+        );
+    }
+
+    #[test]
+    fn golden_ack_frame() {
+        assert_golden(
+            &WireFrame::ack(NodeId(1), NodeId(0), &[7, 8, 9]),
+            "f1020000010000000000000003000000000000000000000007000800090000005b8ad878",
+        );
+    }
 }

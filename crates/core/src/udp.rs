@@ -590,6 +590,17 @@ mod tests {
     }
 
     #[test]
+    fn golden_hello_datagram() {
+        // Byte image recorded from an earlier build: a hello from any
+        // commit must be accepted by any other.
+        let want = [
+            0xe7, 0x01, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0xef, 0xbe, 0xad, 0xde, 0xd2, 0x45,
+            0x8d, 0xb7,
+        ];
+        assert_eq!(encode_ctrl(CTRL_HELLO, 7, 0xDEAD_BEEF), want);
+    }
+
+    #[test]
     fn ctrl_magic_collides_with_no_frame_first_byte() {
         // v1 frames start 0xF0|1, legacy v0 frames start with kind 0..=2.
         assert_ne!(CTRL_MAGIC & 0xF0, 0xF0);

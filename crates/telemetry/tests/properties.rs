@@ -11,11 +11,33 @@
 //! * Clock-offset estimation must recover a known injected offset to
 //!   within half the round-trip time — the NTP-midpoint error bound the
 //!   merged-timeline renderer relies on.
+//! * The slicing-by-8 `crc32` must equal a bitwise (no-table) CRC-32 over
+//!   every length up to two frames and every start offset within a word,
+//!   so each eight-byte-chunk/remainder split and unaligned slice is seen.
 
+use fm_telemetry::beacon::crc32;
 use fm_telemetry::{
     chrome_trace, ClusterClock, Counter, EventKind, Histogram, RttSample, Telemetry, TraceEvent,
 };
 use proptest::prelude::*;
+
+/// fm-core's `FM_FRAME_MAX` (32 B header + 128 B payload + 4 B CRC), the
+/// largest buffer the frame codec checksums; fm-telemetry sits below
+/// fm-core, so the value is restated here.
+const FRAME_MAX: usize = 164;
+
+/// CRC-32 (IEEE, reflected 0xEDB88320, init and xorout `!0`) one bit at
+/// a time: the definition the table-driven `crc32` must reproduce.
+fn crc32_bitwise(data: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for &b in data {
+        c ^= b as u32;
+        for _ in 0..8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+        }
+    }
+    !c
+}
 
 /// Exact nearest-rank quantile over the raw samples — the model the
 /// histogram approximates (and the code it replaced in the bench bins).
@@ -28,6 +50,16 @@ fn exact_quantile(samples: &mut [u64], q: f64) -> u64 {
 }
 
 proptest! {
+    #[test]
+    fn crc32_matches_bitwise_reference(
+        buf in proptest::collection::vec(any::<u8>(), 2 * FRAME_MAX + 8),
+        start in 0usize..8,
+        len in 0usize..=2 * FRAME_MAX,
+    ) {
+        let data = &buf[start..start + len];
+        prop_assert_eq!(crc32(data), crc32_bitwise(data), "start {} len {}", start, len);
+    }
+
     #[test]
     fn histogram_quantile_tracks_exact_model(
         samples in proptest::collection::vec(0u64..=1_000_000_000_000, 1..120),
@@ -116,6 +148,27 @@ proptest! {
             "chained offset {} missed injected {offset} by more than rtt/2",
             clock.offset(1)
         );
+    }
+}
+
+#[test]
+fn crc32_matches_bitwise_reference_at_every_split() {
+    // Every length 0..=2 frames at every start offset 0..8: each chunk
+    // count and remainder, aligned or not, over fixed pseudo-random bytes.
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let buf: Vec<u8> = (0..2 * FRAME_MAX + 8)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        })
+        .collect();
+    for start in 0..8 {
+        for len in 0..=2 * FRAME_MAX {
+            let data = &buf[start..start + len];
+            assert_eq!(crc32(data), crc32_bitwise(data), "start {start} len {len}");
+        }
     }
 }
 
